@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "linearize/transpose.h"
 #include "telemetry/metrics.h"
 #include "telemetry/span.h"
 
@@ -18,9 +19,7 @@ Status ValidateAnalyzerOptions(const AnalyzerOptions& options) {
 }
 
 int AnalysisResult::compressible_columns() const {
-  uint64_t mask = compressible_mask;
-  if (width < 64) mask &= (1ull << width) - 1;
-  return __builtin_popcountll(mask);
+  return __builtin_popcountll(compressible_mask & FullMask(width));
 }
 
 double AnalysisResult::htc_byte_fraction() const {

@@ -1,10 +1,14 @@
 #include "core/chunk_codec.h"
 
+#include <algorithm>
+#include <cstring>
 #include <string>
+#include <utility>
 
 #include "core/partitioner.h"
 #include "telemetry/metrics.h"
 #include "telemetry/span.h"
+#include "telemetry/timeline.h"
 #include "telemetry/trace_export.h"
 #include "util/crc32c.h"
 #include "util/stopwatch.h"
@@ -12,11 +16,64 @@
 namespace isobar {
 namespace {
 
-uint64_t FullMask(size_t width) {
-  return width >= 64 ? ~0ull : ((1ull << width) - 1);
-}
+/// Flight-recorder window embedded into a damaged SalvageReport: enough
+/// recent events to cover several chunks' worth of pipeline activity
+/// without bloating the report.
+constexpr size_t kFlightRecorderEvents = 256;
 
 }  // namespace
+
+Result<EupaDecision> ChoosePipeline(const CompressOptions& options,
+                                    ByteSpan probe, ByteSpan data,
+                                    size_t width, double* analysis_seconds) {
+  // The ISOBAR_FORCE_CODEC CI hook pins auto-selected pipelines to one
+  // solver; explicit caller overrides always win.
+  EupaOptions eupa = options.eupa;
+  if (!eupa.forced_codec) eupa.forced_codec = ForcedCodecFromEnv();
+  EupaDecision decision;
+  decision.preference = eupa.preference;
+  if (eupa.forced_codec && eupa.forced_linearization) {
+    decision.codec = *eupa.forced_codec;
+    decision.linearization = *eupa.forced_linearization;
+  } else if (!data.empty()) {
+    // The analyzer verdict for the sampling region determines which bytes
+    // the candidates are measured on.
+    Stopwatch analysis_timer;
+    ISOBAR_ASSIGN_OR_RETURN(AnalysisResult verdict,
+                            Analyzer(options.analyzer).Analyze(probe, width));
+    const uint64_t mask =
+        verdict.improvable() ? verdict.compressible_mask : FullMask(width);
+    ISOBAR_ASSIGN_OR_RETURN(decision,
+                            EupaSelector(eupa).Select(data, width, mask));
+    *analysis_seconds += analysis_timer.ElapsedSeconds();
+  } else {
+    // Nothing to measure; fall back to the configured defaults.
+    if (eupa.forced_codec) decision.codec = *eupa.forced_codec;
+    if (eupa.forced_linearization) {
+      decision.linearization = *eupa.forced_linearization;
+    }
+  }
+  return decision;
+}
+
+uint64_t BeginPipelineTrace(const EupaDecision& decision, size_t width) {
+  auto& recorder = telemetry::TraceRecorder::Global();
+  if (!recorder.enabled()) return 0;
+  const uint64_t id = recorder.BeginPipeline(
+      std::string(CodecIdToString(decision.codec)),
+      std::string(LinearizationToString(decision.linearization)),
+      std::string(PreferenceToString(decision.preference)), width);
+  for (const CandidateEvaluation& eval : decision.evaluations) {
+    telemetry::CandidateTrace candidate;
+    candidate.codec = std::string(CodecIdToString(eval.codec));
+    candidate.linearization =
+        std::string(LinearizationToString(eval.linearization));
+    candidate.ratio = eval.ratio;
+    candidate.throughput_mbps = eval.throughput_mbps;
+    recorder.RecordCandidate(id, std::move(candidate));
+  }
+  return id;
+}
 
 Status EncodeChunk(const Analyzer& analyzer, const Codec& codec,
                    Linearization linearization, ByteSpan chunk, size_t width,
@@ -164,6 +221,73 @@ Status AnnotateChunkError(const Status& status, uint64_t chunk_index,
                     "): " + status.message());
 }
 
+Status ResolveChunkIndex(ByteSpan container_bytes, bool salvage,
+                         container::Header* header,
+                         ChunkIndexResolution* resolution) {
+  resolution->payload_end = container_bytes.size();
+  if (header->version < container::kVersion) return Status::OK();
+  static telemetry::Counter& index_hits =
+      telemetry::GetCounter("pipeline.index_hits");
+  static telemetry::Counter& index_fallbacks =
+      telemetry::GetCounter("pipeline.index_fallbacks");
+  auto parsed = container::ParseFooter(container_bytes, *header);
+  if (!parsed.ok()) {
+    if (!salvage) return parsed.status();
+    index_fallbacks.Increment();
+    return Status::OK();
+  }
+  index_hits.Increment();
+  resolution->have_index = true;
+  resolution->index = std::move(*parsed);
+  resolution->payload_end = resolution->index.payload_end;
+  // ParseFooter checked that counted totals agree, so only the streamed
+  // writer's sentinels actually change here.
+  header->element_count = resolution->index.element_count;
+  header->chunk_count = resolution->index.entries.size();
+  return Status::OK();
+}
+
+void RecordSalvageEntry(SalvageReport* report, uint64_t chunk_index,
+                        uint64_t byte_offset, uint64_t element_count,
+                        ChunkFailureStage stage, ChunkErrorPolicy action,
+                        const Status& error, uint64_t output_offset,
+                        uint64_t lost_bytes) {
+  if (action != ChunkErrorPolicy::kFail) {
+    static telemetry::Counter& salvaged =
+        telemetry::GetCounter("pipeline.chunks_salvaged");
+    static telemetry::Counter& zero_filled =
+        telemetry::GetCounter("pipeline.chunks_zero_filled");
+    salvaged.Increment();
+    if (action == ChunkErrorPolicy::kZeroFill) zero_filled.Increment();
+  }
+  if (report == nullptr) return;
+  ChunkSalvageRecord record;
+  record.chunk_index = chunk_index;
+  record.byte_offset = byte_offset;
+  record.element_count = element_count;
+  record.output_offset = output_offset;
+  record.lost_bytes = lost_bytes;
+  record.stage = stage;
+  record.action = action;
+  record.error = error;
+  report->damaged.push_back(std::move(record));
+  if (action == ChunkErrorPolicy::kZeroFill) {
+    ++report->chunks_zero_filled;
+  } else if (action == ChunkErrorPolicy::kSkip) {
+    ++report->chunks_skipped;
+  }
+  report->bytes_lost += lost_bytes;
+}
+
+void CaptureFlightRecorder(SalvageReport* report) {
+  if (report == nullptr || report->clean() ||
+      !telemetry::Timeline::Enabled()) {
+    return;
+  }
+  report->flight_recorder =
+      telemetry::Timeline::Global().SnapshotRecent(kFlightRecorderEvents);
+}
+
 void MergeChunkStats(const CompressionStats& chunk, CompressionStats* total) {
   total->analysis_seconds += chunk.analysis_seconds;
   total->partition_seconds += chunk.partition_seconds;
@@ -182,6 +306,66 @@ void MergeChunkStats(const CompressionStats& chunk, CompressionStats* total) {
   total->chunk_count += chunk.chunk_count;
 }
 
+namespace {
+
+/// Validates a record's section geometry against its header: returns the
+/// mask of the solver-held columns (all of them for an undetermined chunk)
+/// after checking that it fits the element width and that the raw
+/// section holds exactly the remaining columns.
+Status CheckSections(const container::ChunkHeader& chunk_header,
+                     size_t width, uint64_t* solver_mask) {
+  const uint64_t full_mask = FullMask(width);
+  const bool undetermined =
+      (chunk_header.flags & container::kChunkUndetermined) != 0;
+  const uint64_t mask =
+      undetermined ? full_mask : chunk_header.compressible_mask;
+  if ((mask & ~full_mask) != 0) {
+    return Status::Corruption("container: chunk mask exceeds element width");
+  }
+  const size_t raw_width =
+      width - static_cast<size_t>(PopcountMask(mask, width));
+  if (chunk_header.raw_size != chunk_header.element_count * raw_width) {
+    return Status::Corruption("container: raw section size mismatch");
+  }
+  *solver_mask = mask;
+  return Status::OK();
+}
+
+/// The record's solver-held columns as packed bytes: a stored-raw section
+/// is used in place, any other is solver-decoded into `*decoded`.
+Status UnpackSolverSection(const container::ChunkHeader& chunk_header,
+                           ByteSpan compressed_section, const Codec& codec,
+                           size_t expected_packed, Bytes* decoded,
+                           ByteSpan* packed, DecompressionStats* stats,
+                           uint64_t chunk_ordinal) {
+  telemetry::ScopedSpan decode_span("chunk.decode", 0, chunk_ordinal + 1);
+  Stopwatch decode_timer;
+  if (chunk_header.flags & container::kChunkStoredRaw) {
+    if (compressed_section.size() != expected_packed) {
+      return Status::Corruption("container: stored section size mismatch");
+    }
+    *packed = compressed_section;
+  } else {
+    decoded->clear();  // Arena slot may hold the previous chunk's output.
+    ISOBAR_RETURN_NOT_OK(
+        codec.Decompress(compressed_section, expected_packed, decoded));
+    if (decoded->size() != expected_packed) {
+      return Status::Corruption("container: packed section size mismatch");
+    }
+    *packed = ByteSpan(*decoded);
+  }
+  if (stats != nullptr) stats->decode_seconds += decode_timer.ElapsedSeconds();
+  return Status::OK();
+}
+
+/// Rank of column `c` inside `mask`: how many selected columns precede it.
+size_t ColumnRank(uint64_t mask, size_t c) {
+  return static_cast<size_t>(
+      __builtin_popcountll(mask & ((c == 0) ? 0ull : (~0ull >> (64 - c)))));
+}
+
+}  // namespace
+
 Status DecodeChunkPayload(const container::ChunkHeader& chunk_header,
                           ByteSpan compressed_section, ByteSpan raw_section,
                           const Codec& codec, Linearization linearization,
@@ -191,53 +375,27 @@ Status DecodeChunkPayload(const container::ChunkHeader& chunk_header,
                           ScratchArena* arena, uint64_t chunk_ordinal,
                           Linearization raw_linearization) {
   if (failed_stage != nullptr) *failed_stage = ChunkFailureStage::kPayload;
-  const uint64_t full_mask = FullMask(width);
-  const bool undetermined =
-      (chunk_header.flags & container::kChunkUndetermined) != 0;
-  const uint64_t mask =
-      undetermined ? full_mask : chunk_header.compressible_mask;
-  if ((mask & ~full_mask) != 0) {
-    return Status::Corruption("container: chunk mask exceeds element width");
-  }
+  uint64_t mask = 0;
+  ISOBAR_RETURN_NOT_OK(CheckSections(chunk_header, width, &mask));
   const uint64_t n = chunk_header.element_count;
   if (dest.size() != n * width) {
     return Status::Internal("chunk payload: destination size mismatch");
   }
-  const size_t selected = static_cast<size_t>(PopcountMask(mask, width));
-  const size_t expected_packed = n * selected;
-  const size_t expected_raw = n * (width - selected);
-  if (chunk_header.raw_size != expected_raw) {
-    return Status::Corruption("container: raw section size mismatch");
-  }
-
   Bytes local_decoded;
   Bytes& decoded = arena != nullptr ? arena->buffer(ScratchArena::kDecoded)
                                     : local_decoded;
   ByteSpan packed;
-  {
-    telemetry::ScopedSpan decode_span("chunk.decode", 0, chunk_ordinal + 1);
-    Stopwatch decode_timer;
-    if (chunk_header.flags & container::kChunkStoredRaw) {
-      if (compressed_section.size() != expected_packed) {
-        return Status::Corruption("container: stored section size mismatch");
-      }
-      packed = compressed_section;
-    } else {
-      decoded.clear();  // Arena slot may hold the previous chunk's output.
-      ISOBAR_RETURN_NOT_OK(
-          codec.Decompress(compressed_section, expected_packed, &decoded));
-      packed = ByteSpan(decoded);
-    }
-    if (stats != nullptr) {
-      stats->decode_seconds += decode_timer.ElapsedSeconds();
-    }
-  }
+  ISOBAR_RETURN_NOT_OK(UnpackSolverSection(
+      chunk_header, compressed_section, codec,
+      n * static_cast<size_t>(PopcountMask(mask, width)), &decoded, &packed,
+      stats, chunk_ordinal));
 
   telemetry::ScopedSpan scatter_span("chunk.scatter", 0, chunk_ordinal + 1);
   Stopwatch scatter_timer;
   ISOBAR_RETURN_NOT_OK(
       ScatterColumns(packed, width, mask, linearization, dest));
-  ISOBAR_RETURN_NOT_OK(ScatterColumns(raw_section, width, full_mask & ~mask,
+  ISOBAR_RETURN_NOT_OK(ScatterColumns(raw_section, width,
+                                      FullMask(width) & ~mask,
                                       raw_linearization, dest));
 
   if (verify_checksums) {
@@ -262,6 +420,102 @@ Status DecodeChunkPayload(const container::ChunkHeader& chunk_header,
   static telemetry::Counter& chunks_decoded =
       telemetry::GetCounter("pipeline.chunks_decoded");
   chunks_decoded.Increment();
+  return Status::OK();
+}
+
+Status DecodeChunkWindow(const container::ChunkHeader& chunk_header,
+                         ByteSpan compressed_section, ByteSpan raw_section,
+                         const Codec& codec, Linearization linearization,
+                         size_t width, bool verify_checksums,
+                         uint64_t window_begin, MutableByteSpan dest,
+                         DecompressionStats* stats,
+                         ChunkFailureStage* failed_stage, ScratchArena* arena,
+                         uint64_t chunk_ordinal,
+                         Linearization raw_linearization) {
+  telemetry::ScopedSpan chunk_span("decompress.chunk", 0, chunk_ordinal + 1);
+  const size_t record_bytes =
+      static_cast<size_t>(chunk_header.element_count) * width;
+  const bool whole = window_begin == 0 && dest.size() == record_bytes;
+  Bytes& staging = arena->buffer(ScratchArena::kWindow);
+  if (!whole) staging.resize(record_bytes);
+  const Status status = DecodeChunkPayload(
+      chunk_header, compressed_section, raw_section, codec, linearization,
+      width, verify_checksums, whole ? dest : MutableByteSpan(staging), stats,
+      failed_stage, arena, chunk_ordinal, raw_linearization);
+  if (!status.ok()) {
+    // A failed decode may have partially scattered into the window.
+    std::fill(dest.begin(), dest.end(), uint8_t{0});
+    return status;
+  }
+  if (!whole) {
+    std::memcpy(dest.data(), staging.data() + window_begin * width,
+                dest.size());
+  }
+  return Status::OK();
+}
+
+Status ProjectChunkColumns(const container::ChunkHeader& chunk_header,
+                           ByteSpan compressed_section, ByteSpan raw_section,
+                           const Codec& codec, Linearization linearization,
+                           size_t width, uint64_t column_mask,
+                           uint8_t* planes, size_t plane_stride,
+                           uint64_t* served_mask, DecompressionStats* stats,
+                           ScratchArena* arena, uint64_t chunk_ordinal,
+                           Linearization raw_linearization) {
+  static telemetry::Counter& planes_raw =
+      telemetry::GetCounter("pipeline.column_planes_raw");
+  static telemetry::Counter& planes_decoded =
+      telemetry::GetCounter("pipeline.column_planes_decoded");
+  *served_mask = 0;
+  uint64_t mask = 0;
+  ISOBAR_RETURN_NOT_OK(CheckSections(chunk_header, width, &mask));
+  const size_t n = static_cast<size_t>(chunk_header.element_count);
+  // Copies the requested `columns` out of a section holding the columns of
+  // `section_mask` in layout `lin`: one memcpy per plane from a
+  // column-major section, a strided gather from a row-major one.
+  auto project = [&](ByteSpan section, uint64_t section_mask,
+                     Linearization lin, uint64_t columns) {
+    const size_t stride = static_cast<size_t>(PopcountMask(section_mask,
+                                                           width));
+    for (uint64_t rest = columns; rest != 0; rest &= rest - 1) {
+      const size_t c = static_cast<size_t>(__builtin_ctzll(rest));
+      const size_t r = ColumnRank(section_mask, c);
+      uint8_t* dest = planes + ColumnRank(column_mask, c) * plane_stride;
+      if (lin == Linearization::kColumn) {
+        std::memcpy(dest, section.data() + r * n, n);
+      } else {
+        const uint8_t* from = section.data() + r;
+        for (size_t i = 0; i < n; ++i) dest[i] = from[i * stride];
+      }
+    }
+  };
+
+  // Noise planes come straight off the raw section, with no solver work.
+  const uint64_t raw_mask = FullMask(width) & ~mask;
+  const uint64_t raw_columns = column_mask & raw_mask;
+  project(raw_section, raw_mask, raw_linearization, raw_columns);
+  planes_raw.Add(static_cast<uint64_t>(PopcountMask(raw_columns, width)));
+  *served_mask = raw_columns;
+
+  // Solver-held planes need the packed section materialized once.
+  const uint64_t solver_columns = column_mask & mask;
+  if (solver_columns != 0) {
+    Bytes local_decoded;
+    Bytes& decoded = arena != nullptr ? arena->buffer(ScratchArena::kDecoded)
+                                      : local_decoded;
+    ByteSpan packed;
+    ISOBAR_RETURN_NOT_OK(UnpackSolverSection(
+        chunk_header, compressed_section, codec,
+        n * static_cast<size_t>(PopcountMask(mask, width)), &decoded, &packed,
+        stats, chunk_ordinal));
+    project(packed, mask, linearization, solver_columns);
+    const bool stored_raw =
+        (chunk_header.flags & container::kChunkStoredRaw) != 0;
+    (stored_raw ? planes_raw : planes_decoded)
+        .Add(static_cast<uint64_t>(PopcountMask(solver_columns, width)));
+    *served_mask |= solver_columns;
+  }
+  if (stats != nullptr) ++stats->chunk_count;
   return Status::OK();
 }
 

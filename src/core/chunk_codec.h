@@ -16,6 +16,21 @@ namespace isobar {
 /// Shared per-chunk pipeline of Alg. 1, used by both the batch
 /// IsobarCompressor and the streaming writer/reader.
 
+/// The EUPA phase (§II.C) of both writers: picks the (solver ×
+/// linearization) pipeline once per dataset. The analyzer's verdict on
+/// `probe` decides which byte-columns the candidates are measured on, and
+/// the selector samples `data`. Forced choices skip the trials — the
+/// ISOBAR_FORCE_CODEC hook pins the solver unless the caller already did —
+/// and empty data falls back to the configured defaults.
+/// `*analysis_seconds` accumulates the probe and the selection trials.
+Result<EupaDecision> ChoosePipeline(const CompressOptions& options,
+                                    ByteSpan probe, ByteSpan data,
+                                    size_t width, double* analysis_seconds);
+
+/// Opens a pipeline trace for a freshly made EUPA decision and records the
+/// candidate evidence; returns 0 when tracing is off.
+uint64_t BeginPipelineTrace(const EupaDecision& decision, size_t width);
+
 /// Analyzes, partitions, and solver-compresses one chunk, appending its
 /// container record ([chunk header][solver bytes][raw noise bytes]) to
 /// `*out`. Timing and verdict fields of `*stats` are accumulated (may be
@@ -48,6 +63,42 @@ Status EncodeChunk(const Analyzer& analyzer, const Codec& codec,
 /// the record to inspect on storage. OK statuses pass through untouched.
 Status AnnotateChunkError(const Status& status, uint64_t chunk_index,
                           uint64_t byte_offset);
+
+/// What the v2 chunk-index footer lookup found.
+struct ChunkIndexResolution {
+  bool have_index = false;
+  container::ChunkIndex index;  ///< Valid when have_index.
+  /// Where chunk records end: the footer's start when the index is valid,
+  /// the container's end otherwise.
+  size_t payload_end = 0;
+};
+
+/// Parses the v2 chunk-index footer (a no-op on v1 containers), adopting
+/// its totals into `*header` (streamed containers carry sentinels in the
+/// file header) and bounding the record walk at the footer's start. A
+/// damaged footer is an error unless `salvage` is set; a salvaging reader
+/// then walks the records sequentially over the whole buffer and the
+/// footer region surfaces as trailing damage. Shared by every batch read
+/// and by IsobarStreamReader.
+Status ResolveChunkIndex(ByteSpan container_bytes, bool salvage,
+                         container::Header* header,
+                         ChunkIndexResolution* resolution);
+
+/// Appends a damaged-chunk entry to `report` (when non-null) and, for the
+/// salvaging policies, bumps the salvage telemetry counters and the
+/// report's skipped or zero-filled chunk count. With action kFail the
+/// entry only documents the chunk that aborted the decode.
+void RecordSalvageEntry(SalvageReport* report, uint64_t chunk_index,
+                        uint64_t byte_offset, uint64_t element_count,
+                        ChunkFailureStage stage, ChunkErrorPolicy action,
+                        const Status& error, uint64_t output_offset,
+                        uint64_t lost_bytes);
+
+/// Snapshots the most recent timeline events into a damaged `report`
+/// (no-op without a report, on a clean one, or with the timeline off).
+/// Called the moment damage is established, so the window shows what
+/// every thread was doing when the decode went wrong.
+void CaptureFlightRecorder(SalvageReport* report);
 
 /// Parses the chunk record at `*offset` in `container_bytes`, reverses the
 /// pipeline, and appends the reconstructed elements to `*out`, advancing
@@ -110,6 +161,47 @@ Status DecodeChunkPayload(const container::ChunkHeader& chunk_header,
                           ScratchArena* arena = nullptr,
                           uint64_t chunk_ordinal = 0,
                           Linearization raw_linearization = Linearization::kRow);
+
+/// DecodeChunkPayload for part of a record: writes the record's elements
+/// [window_begin, window_begin + dest.size() / width) to `dest`. A window
+/// spanning the whole record decodes in place; any other decodes through
+/// the arena's kWindow slot and is copied out. On failure `dest` is left
+/// zeroed. `arena` must be non-null.
+Status DecodeChunkWindow(const container::ChunkHeader& chunk_header,
+                         ByteSpan compressed_section, ByteSpan raw_section,
+                         const Codec& codec, Linearization linearization,
+                         size_t width, bool verify_checksums,
+                         uint64_t window_begin, MutableByteSpan dest,
+                         DecompressionStats* stats,
+                         ChunkFailureStage* failed_stage, ScratchArena* arena,
+                         uint64_t chunk_ordinal,
+                         Linearization raw_linearization);
+
+/// The column-read counterpart of DecodeChunkPayload: materializes only
+/// the byte-columns in `column_mask` (bit j = column j) of one parsed
+/// record, without the full scatter. Column c's element_count bytes go to
+/// `planes + p * plane_stride`, where p is c's rank among the requested
+/// columns. Planes the partitioner stored raw are copied straight off the
+/// raw section — one memcpy each when `raw_linearization` is kColumn (v2),
+/// a strided gather for the v1 row layout — and need no solver work;
+/// solver-held planes decode the packed section once (into the arena's
+/// kDecoded slot when `arena` is non-null) and are projected out of it.
+/// `*served_mask` receives the columns written, which on a failed solver
+/// decode are the raw ones: a partial failure still serves them. Every
+/// failure is a payload-stage failure. Per-chunk CRCs cover the whole
+/// reconstructed chunk, so nothing is verified here. Writes only through
+/// the planes, so records can be projected concurrently.
+Status ProjectChunkColumns(const container::ChunkHeader& chunk_header,
+                           ByteSpan compressed_section, ByteSpan raw_section,
+                           const Codec& codec, Linearization linearization,
+                           size_t width, uint64_t column_mask,
+                           uint8_t* planes, size_t plane_stride,
+                           uint64_t* served_mask,
+                           DecompressionStats* stats = nullptr,
+                           ScratchArena* arena = nullptr,
+                           uint64_t chunk_ordinal = 0,
+                           Linearization raw_linearization =
+                               Linearization::kRow);
 
 }  // namespace isobar
 

@@ -1,12 +1,10 @@
 #include "core/isobar.h"
 
 #include <algorithm>
-#include <cstring>
 #include <deque>
 #include <future>
 #include <limits>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -21,25 +19,6 @@
 namespace isobar {
 namespace {
 
-uint64_t FullMask(size_t width) {
-  return width >= 64 ? ~0ull : ((1ull << width) - 1);
-}
-
-/// Flight-recorder window embedded into a damaged SalvageReport: enough
-/// recent events to cover several chunks' worth of pipeline activity
-/// without bloating the report.
-constexpr size_t kFlightRecorderEvents = 256;
-
-/// Snapshots the most recent timeline events into `report` (no-op without
-/// a report or with the timeline off). Called the moment damage is
-/// established, so the window shows what every thread was doing when the
-/// decode went wrong.
-void CaptureFlightRecorder(SalvageReport* report) {
-  if (report == nullptr || !telemetry::Timeline::Enabled()) return;
-  report->flight_recorder =
-      telemetry::Timeline::Global().SnapshotRecent(kFlightRecorderEvents);
-}
-
 /// One chunk's encode result, produced on a worker and consumed by the
 /// (single) container writer.
 struct EncodedChunk {
@@ -48,27 +27,6 @@ struct EncodedChunk {
   CompressionStats stats;
   telemetry::ChunkTrace trace;
 };
-
-// Opens a pipeline trace for a freshly made EUPA decision and records the
-// candidate evidence; returns 0 when tracing is off.
-uint64_t BeginPipelineTrace(const EupaDecision& decision, size_t width) {
-  auto& recorder = telemetry::TraceRecorder::Global();
-  if (!recorder.enabled()) return 0;
-  const uint64_t id = recorder.BeginPipeline(
-      std::string(CodecIdToString(decision.codec)),
-      std::string(LinearizationToString(decision.linearization)),
-      std::string(PreferenceToString(decision.preference)), width);
-  for (const CandidateEvaluation& eval : decision.evaluations) {
-    telemetry::CandidateTrace candidate;
-    candidate.codec = std::string(CodecIdToString(eval.codec));
-    candidate.linearization =
-        std::string(LinearizationToString(eval.linearization));
-    candidate.ratio = eval.ratio;
-    candidate.throughput_mbps = eval.throughput_mbps;
-    recorder.RecordCandidate(id, std::move(candidate));
-  }
-  return id;
-}
 
 }  // namespace
 
@@ -118,42 +76,14 @@ Result<Bytes> IsobarCompressor::Compress(ByteSpan data, size_t width,
   Stopwatch total_timer;
 
   const Analyzer analyzer(options_.analyzer);
-  // The ISOBAR_FORCE_CODEC CI hook pins auto-selected pipelines to one
-  // solver; explicit caller overrides always win.
-  EupaOptions eupa = options_.eupa;
-  if (!eupa.forced_codec) eupa.forced_codec = ForcedCodecFromEnv();
-  const EupaSelector selector(eupa);
-  const uint64_t full_mask = FullMask(width);
-
-  // --- EUPA phase: pick the (solver × linearization) pipeline once per
-  // dataset from a training sample (§II.C). The analyzer verdict for the
-  // sampling region determines which bytes the candidates are measured on.
-  EupaDecision decision;
-  decision.preference = eupa.preference;
-  if (eupa.forced_codec && eupa.forced_linearization) {
-    decision.codec = *eupa.forced_codec;
-    decision.linearization = *eupa.forced_linearization;
-  } else if (!data.empty()) {
-    Stopwatch analysis_timer;
-    const uint64_t n = data.size() / width;
-    const uint64_t probe_elements =
-        std::min<uint64_t>(n, std::max<uint64_t>(eupa.sample_elements, 1));
-    ByteSpan probe = data.subspan(0, probe_elements * width);
-    ISOBAR_ASSIGN_OR_RETURN(AnalysisResult probe_result,
-                            analyzer.Analyze(probe, width));
-    stats->analysis_seconds += analysis_timer.ElapsedSeconds();
-    const uint64_t eupa_mask = probe_result.improvable()
-                                   ? probe_result.compressible_mask
-                                   : full_mask;
-    ISOBAR_ASSIGN_OR_RETURN(decision,
-                            selector.Select(data, width, eupa_mask));
-  } else {
-    // Empty input: nothing to measure; fall back to configured defaults.
-    if (eupa.forced_codec) decision.codec = *eupa.forced_codec;
-    if (eupa.forced_linearization) {
-      decision.linearization = *eupa.forced_linearization;
-    }
-  }
+  // --- EUPA phase, sampling the head of the data (§II.C).
+  const uint64_t probe_elements =
+      std::min<uint64_t>(data.size() / width,
+                         std::max<uint64_t>(options_.eupa.sample_elements, 1));
+  ISOBAR_ASSIGN_OR_RETURN(
+      const EupaDecision decision,
+      ChoosePipeline(options_, data.subspan(0, probe_elements * width), data,
+                     width, &stats->analysis_seconds));
   stats->decision = decision;
   const uint64_t trace_id = BeginPipelineTrace(decision, width);
 
@@ -287,203 +217,316 @@ Result<Bytes> IsobarCompressor::Compress(ByteSpan data, size_t width,
 
 namespace {
 
-/// Outcome of looking for a v2 chunk-index footer.
-struct IndexResolution {
-  bool have_index = false;
-  container::ChunkIndex index;
+// --- The read side. Every read is one job: plan the covering chunk
+// records, materialize each one into its own slice of the output, and
+// account for damage in chunk order. The three batch entry points differ
+// only in how they plan and what a record's materialize step writes.
+
+/// What every read shares once the file header is parsed.
+struct ReadSource {
+  ByteSpan bytes;
+  DecompressOptions options;
+  container::Header header;  ///< With any footer totals adopted.
+  const Codec* codec = nullptr;
+  ChunkIndexResolution footer;
+  ChunkErrorPolicy policy = ChunkErrorPolicy::kFail;
+  bool salvage = false;  ///< policy != kFail.
+  SalvageReport* report = nullptr;
 };
 
-/// Parses the v2 chunk-index footer (a no-op on v1 containers), adopting
-/// its totals into `header` (streamed containers carry sentinels in the
-/// file header) and bounding the record walk at the footer's start. A
-/// damaged footer is an error under kFail; under a salvage policy the
-/// caller falls back to the v1 sequential walk over the whole buffer and
-/// the footer region surfaces as trailing damage.
-Status ResolveChunkIndex(ByteSpan container_bytes, bool salvage,
-                         container::Header* header, size_t* payload_end,
-                         IndexResolution* resolution) {
-  *payload_end = container_bytes.size();
-  if (header->version < container::kVersion) return Status::OK();
-  static telemetry::Counter& index_hits =
-      telemetry::GetCounter("pipeline.index_hits");
-  static telemetry::Counter& index_fallbacks =
-      telemetry::GetCounter("pipeline.index_fallbacks");
-  auto parsed = container::ParseFooter(container_bytes, *header);
-  if (parsed.ok()) {
-    index_hits.Increment();
-    resolution->have_index = true;
-    resolution->index = std::move(*parsed);
-    *payload_end = resolution->index.payload_end;
-    if (header->element_count == container::kUnknownCount) {
-      header->element_count = resolution->index.element_count;
-    }
-    if (header->chunk_count == container::kUnknownCount) {
-      header->chunk_count = resolution->index.entries.size();
-    }
-    return Status::OK();
-  }
-  if (!salvage) return parsed.status();
-  index_fallbacks.Increment();
+/// One chunk record a read materializes, and where its bytes go.
+struct PlanEntry {
+  uint64_t index = 0;             ///< Record position in the container.
+  uint64_t byte_offset = 0;       ///< Container offset of its chunk header.
+  container::ChunkHeader header;  ///< As parsed: the declared element count.
+  ByteSpan compressed;
+  ByteSpan raw;
+  /// Assumed element count: the declared one, or the nominal chunk size
+  /// when the declared count is corrupt.
+  uint64_t elements = 0;
+  uint64_t element_offset = 0;  ///< First container element it covers.
+  /// The read wants the record's elements [window_begin, window_end).
+  uint64_t window_begin = 0;
+  uint64_t window_end = 0;
+  uint64_t dest_offset = 0;  ///< Output position of the window.
+  Status error;              ///< Damage found while planning.
+};
+
+struct DecodePlan {
+  std::vector<PlanEntry> entries;
+  /// The record a walk stopped at: one whose framing is destroyed
+  /// (tail_lost) or, under kFail, one over-declaring its element count.
+  PlanEntry stop;
+  bool tail_lost = false;
+  uint64_t walked_elements = 0;  ///< Elements the walked records cover.
+  size_t end_offset = container::kHeaderSize;  ///< Past the last record.
+};
+
+/// Resets the caller's salvage report, parses the file header, and
+/// resolves the solver and the v2 index footer.
+Status OpenRead(ByteSpan container_bytes, const DecompressOptions& options,
+                DecompressionStats* stats, ReadSource* src) {
+  src->bytes = container_bytes;
+  src->options = options;
+  src->policy = options.on_chunk_error;
+  src->salvage = src->policy != ChunkErrorPolicy::kFail;
+  src->report = options.salvage_report;
+  if (src->report != nullptr) *src->report = SalvageReport{};
+  stats->input_bytes = container_bytes.size();
+  Stopwatch parse_timer;
+  size_t offset = 0;
+  ISOBAR_ASSIGN_OR_RETURN(src->header,
+                          container::ParseHeader(container_bytes, &offset));
+  ISOBAR_ASSIGN_OR_RETURN(src->codec, GetCodec(src->header.codec));
+  ISOBAR_RETURN_NOT_OK(ResolveChunkIndex(container_bytes, src->salvage,
+                                         &src->header, &src->footer));
+  stats->parse_seconds += parse_timer.ElapsedSeconds();
   return Status::OK();
 }
 
-/// One parsed chunk record of the decode plan: payload slices, destination
-/// range, and (in salvage mode) any header-stage damage verdict.
-struct ChunkWork {
-  container::ChunkHeader header;
-  uint64_t index = 0;
-  uint64_t byte_offset = 0;  ///< Record start in the container.
-  ByteSpan compressed;
-  ByteSpan raw;
-  size_t out_offset = 0;
-  uint64_t dest_elements = 0;  ///< Output elements this record accounts for.
-  bool damaged = false;        ///< Header-stage damage found while parsing.
-  Status error;                ///< Set when damaged.
-};
-
-/// Appends a damaged-chunk entry to `report` (when non-null) and, for the
-/// salvaging policies, bumps the salvage telemetry counters. With action
-/// kFail the entry only documents the chunk that aborted the decode.
-void RecordSalvageEntry(SalvageReport* report, uint64_t chunk_index,
-                        uint64_t byte_offset, uint64_t element_count,
-                        ChunkFailureStage stage, ChunkErrorPolicy action,
-                        const Status& error, uint64_t output_offset,
-                        uint64_t lost_bytes) {
-  if (action != ChunkErrorPolicy::kFail) {
-    static telemetry::Counter& salvaged =
-        telemetry::GetCounter("pipeline.chunks_salvaged");
-    static telemetry::Counter& zero_filled =
-        telemetry::GetCounter("pipeline.chunks_zero_filled");
-    salvaged.Increment();
-    if (action == ChunkErrorPolicy::kZeroFill) zero_filled.Increment();
-  }
-  if (report == nullptr) return;
-  ChunkSalvageRecord record;
-  record.chunk_index = chunk_index;
-  record.byte_offset = byte_offset;
-  record.element_count = element_count;
-  record.output_offset = output_offset;
-  record.lost_bytes = lost_bytes;
-  record.stage = stage;
-  record.action = action;
-  record.error = error;
-  report->damaged.push_back(std::move(record));
-  if (action == ChunkErrorPolicy::kZeroFill) {
-    ++report->chunks_zero_filled;
-  } else if (action == ChunkErrorPolicy::kSkip) {
-    ++report->chunks_skipped;
-  }
-  report->bytes_lost += lost_bytes;
+/// Ends a read that succeeded: snapshots the flight recorder into a
+/// damaged report and fills the output-side stats.
+Bytes FinishRead(const ReadSource& src, Bytes out, const Stopwatch& timer,
+                 DecompressionStats* stats) {
+  CaptureFlightRecorder(src.report);
+  stats->output_bytes = out.size();
+  stats->total_seconds = timer.ElapsedSeconds();
+  return out;
 }
 
-void RecordSalvage(SalvageReport* report, const ChunkWork& work,
-                   ChunkFailureStage stage, ChunkErrorPolicy action,
-                   const Status& error, uint64_t output_offset,
-                   uint64_t lost_bytes) {
-  RecordSalvageEntry(report, work.index, work.byte_offset,
-                     work.header.element_count, stage, action, error,
-                     output_offset, lost_bytes);
-}
-
-/// One chunk record in a range/column read plan: like ChunkWork, but
-/// addressed by the element offset the record covers rather than by an
-/// output-buffer offset (partial reads compute those per intersection).
-struct PlannedChunk {
-  container::ChunkHeader header;
-  uint64_t index = 0;
-  uint64_t byte_offset = 0;
-  uint64_t element_offset = 0;  ///< First element the record covers.
-  ByteSpan compressed;
-  ByteSpan raw;
-  bool damaged = false;
-  Status error;  ///< Set when damaged.
-};
-
-/// Sequential record walk shared by the range/column readers when no
-/// (valid) index footer is available — and by the column reader always,
-/// since every chunk holds a slice of every column. Parses records into
-/// `result->plan` until `stop_after_element` elements are covered (pass
-/// kUnknownCount to walk everything). A record over-declaring its element
-/// count is marked damaged and assumed full-size, keeping element
+/// The sequential record walk, the planner's source whenever no valid
+/// index is used. Parses chunk headers from the first record until the
+/// header's chunk count (counted containers) or the payload end, or until
+/// `stop_after_element` elements are covered. A record over-declaring its
+/// element count is damaged and assumed full-size, keeping element
 /// addressing monotone; a record whose framing is destroyed ends the walk
-/// with tail_lost. Both abort the walk with an error under kFail.
-struct WalkResult {
-  std::vector<PlannedChunk> plan;
-  uint64_t total_elements = 0;  ///< Elements covered by parsed records.
-  size_t end_offset = container::kHeaderSize;  ///< Past the last good record.
-  bool tail_lost = false;
-  Status tail_error;            ///< The framing failure when tail_lost.
-  uint64_t tail_index = 0;      ///< Record index where framing died.
-  uint64_t tail_offset = 0;     ///< Container offset of that record.
-};
-
-Status WalkChunkRecords(ByteSpan container_bytes,
-                        const container::Header& header, bool counted,
-                        size_t payload_end, ChunkErrorPolicy policy,
-                        uint64_t stop_after_element, WalkResult* result,
-                        double* parse_seconds) {
-  const bool salvage = policy != ChunkErrorPolicy::kFail;
+/// with tail_lost. Under kFail either one ends the walk with its error and
+/// is named in plan->stop. A whole walk (no `stop_after_element`) that
+/// ends normally also checks that the records end exactly at the payload
+/// end — under salvage the leftover is reported as trailing bytes — and,
+/// when nothing was damaged, cover the declared element count.
+Status WalkRecords(const ReadSource& src, uint64_t stop_after_element,
+                   DecodePlan* plan, double* parse_seconds) {
   Stopwatch parse_timer;
+  const container::Header& header = src.header;
+  const bool counted = header.chunk_count != container::kUnknownCount;
+  Status status;
+  bool damaged = false;
   size_t offset = container::kHeaderSize;
   uint64_t element_offset = 0;
-  uint64_t chunk_i = 0;
-  while ((counted ? chunk_i < header.chunk_count : offset < payload_end) &&
+  while ((counted ? plan->entries.size() < header.chunk_count
+                  : offset < src.footer.payload_end) &&
          element_offset < stop_after_element) {
-    PlannedChunk work;
-    work.index = chunk_i;
-    work.byte_offset = offset;
-    work.element_offset = element_offset;
-    auto parsed = container::ParseChunkHeader(container_bytes, &offset);
+    PlanEntry e;
+    e.index = plan->entries.size();
+    e.byte_offset = offset;
+    e.element_offset = element_offset;
+    auto parsed = container::ParseChunkHeader(src.bytes, &offset);
     if (!parsed.ok()) {
-      result->tail_lost = true;
-      result->tail_error =
-          AnnotateChunkError(parsed.status(), chunk_i, work.byte_offset);
-      result->tail_index = chunk_i;
-      result->tail_offset = work.byte_offset;
-      if (!salvage) {
-        if (parse_seconds != nullptr) {
-          *parse_seconds += parse_timer.ElapsedSeconds();
-        }
-        return result->tail_error;
-      }
+      e.error = AnnotateChunkError(parsed.status(), e.index, e.byte_offset);
+      if (!src.salvage) status = e.error;
+      plan->tail_lost = true;
+      plan->stop = std::move(e);
       break;
     }
-    work.header = *parsed;
-    work.compressed =
-        container_bytes.subspan(offset, work.header.compressed_size);
-    offset += work.header.compressed_size;
-    work.raw = container_bytes.subspan(offset, work.header.raw_size);
-    offset += work.header.raw_size;
-    if (work.header.element_count > header.chunk_elements) {
-      work.damaged = true;
-      work.error = AnnotateChunkError(
+    e.header = *parsed;
+    e.compressed = src.bytes.subspan(offset, e.header.compressed_size);
+    offset += e.header.compressed_size;
+    e.raw = src.bytes.subspan(offset, e.header.raw_size);
+    offset += e.header.raw_size;
+    e.elements = e.header.element_count;
+    if (e.elements > header.chunk_elements) {
+      e.error = AnnotateChunkError(
           Status::Corruption("container: chunk claims more elements than "
                              "the header's chunk size"),
-          chunk_i, work.byte_offset);
-      if (!salvage) {
-        if (parse_seconds != nullptr) {
-          *parse_seconds += parse_timer.ElapsedSeconds();
-        }
-        return work.error;
+          e.index, e.byte_offset);
+      if (!src.salvage) {
+        status = e.error;
+        plan->stop = std::move(e);
+        break;
       }
-      // Element addressing must stay monotone for the ranges that follow;
-      // assume a full chunk, the true shape of every record but the last.
-      work.header.element_count = header.chunk_elements;
+      // The record still delimits itself; assume a full chunk, the true
+      // shape of every record but the last.
+      e.elements = header.chunk_elements;
+      damaged = true;
     }
-    element_offset += work.header.element_count;
-    result->plan.push_back(std::move(work));
-    result->end_offset = offset;
-    ++chunk_i;
+    element_offset += e.elements;
+    plan->entries.push_back(std::move(e));
+    plan->end_offset = offset;
   }
-  result->total_elements = element_offset;
-  if (parse_seconds != nullptr) *parse_seconds += parse_timer.ElapsedSeconds();
+  plan->walked_elements = element_offset;
+  *parse_seconds += parse_timer.ElapsedSeconds();
+  const size_t payload_end = src.footer.payload_end;
+  if (!status.ok() || plan->tail_lost ||
+      stop_after_element != container::kUnknownCount) {
+    return status;
+  }
+  if (plan->end_offset != payload_end) {
+    if (!src.salvage) {
+      return Status::Corruption("container: trailing bytes after last chunk");
+    }
+    if (src.report != nullptr && plan->end_offset < payload_end) {
+      src.report->trailing_bytes = payload_end - plan->end_offset;
+    }
+  }
+  if (header.element_count != container::kUnknownCount && !damaged &&
+      element_offset != header.element_count) {
+    return Status::Corruption("container: element count mismatch");
+  }
   return Status::OK();
 }
 
-/// Rank of column `c` inside `mask`: how many selected columns precede it.
-size_t ColumnRank(uint64_t mask, size_t c) {
-  return static_cast<size_t>(
-      __builtin_popcountll(mask & ((c == 0) ? 0ull : (~0ull >> (64 - c)))));
+/// Plans a window read from the v2 index: a binary search finds the first
+/// covering entry, and only the covering records' headers are parsed. A
+/// record disagreeing with its entry is damaged but keeps the entry's
+/// shape, so it fails only the elements it covers.
+void PlanFromIndex(const ReadSource& src, uint64_t first, uint64_t end,
+                   DecodePlan* plan, double* parse_seconds) {
+  Stopwatch parse_timer;
+  const std::vector<container::IndexEntry>& entries = src.footer.index.entries;
+  size_t i = static_cast<size_t>(
+      std::partition_point(entries.begin(), entries.end(),
+                           [&](const container::IndexEntry& e) {
+                             return e.element_offset <= first;
+                           }) -
+      entries.begin());
+  if (i > 0) --i;
+  for (; i < entries.size() && entries[i].element_offset < end; ++i) {
+    const container::IndexEntry& entry = entries[i];
+    PlanEntry e;
+    e.index = i;
+    e.byte_offset = entry.record_offset;
+    e.element_offset = entry.element_offset;
+    e.elements = entry.element_count;
+    size_t offset = static_cast<size_t>(entry.record_offset);
+    auto parsed = container::ParseChunkHeader(src.bytes, &offset);
+    if (parsed.ok() && parsed->element_count == entry.element_count) {
+      e.header = *parsed;
+      e.compressed = src.bytes.subspan(offset, e.header.compressed_size);
+      e.raw = src.bytes.subspan(offset + e.header.compressed_size,
+                                e.header.raw_size);
+    } else {
+      e.error = AnnotateChunkError(
+          parsed.ok() ? Status::Corruption("container: chunk record "
+                                           "disagrees with its index entry")
+                      : parsed.status(),
+          i, entry.record_offset);
+    }
+    plan->entries.push_back(std::move(e));
+  }
+  *parse_seconds += parse_timer.ElapsedSeconds();
+}
+
+/// What materializing one planned record produced.
+struct ChunkOutcome {
+  Status status;
+  ChunkFailureStage stage = ChunkFailureStage::kHeader;
+  uint64_t recovered_bytes = 0;  ///< Output bytes the record served.
+  uint64_t lost_bytes = 0;       ///< Output bytes left zero on failure.
+  DecompressionStats stats;
+};
+
+/// The executor behind every batch read. Materializes each planned record
+/// into its own disjoint slice of `*out` — on a pool when more than one
+/// thread and more than one record are in play, serially otherwise — then
+/// folds the outcomes in chunk order, applying the chunk-error policy. A
+/// failed record leaves its slice zeroed. The whole-container read
+/// (`full_read`) reports a damaged record's declared element count and,
+/// under kSkip, compacts its slice out of the output; window and column
+/// reads report the assumed count and zero-fill under both salvage
+/// policies, since dropping a slice would shift their addressing.
+template <typename Materialize>
+Status ExecutePlan(const ReadSource& src, const DecodePlan& plan,
+                   bool full_read, const Materialize& materialize, Bytes* out,
+                   DecompressionStats* stats) {
+  const std::vector<PlanEntry>& entries = plan.entries;
+  const size_t width = src.header.width;
+  SalvageReport* report = src.report;
+  std::unique_ptr<ThreadPool> pool;
+  std::vector<std::future<ChunkOutcome>> results;
+  const size_t threads = ResolveNumThreads(src.options.num_threads);
+  if (threads > 1 && entries.size() > 1) {
+    pool = std::make_unique<ThreadPool>(threads);
+    results.reserve(entries.size());
+    for (const PlanEntry& e : entries) {
+      results.push_back(pool->Submit([&e, &materialize] {
+        return materialize(e);
+      }));
+    }
+  }
+
+  // Slices a kSkip full read drops, erased back to front after the loop.
+  std::vector<std::pair<size_t, size_t>> removed;  // (offset, bytes)
+  uint64_t skipped_bytes = 0;
+  for (size_t i = 0; i < entries.size(); ++i) {
+    const PlanEntry& e = entries[i];
+    const ChunkOutcome outcome =
+        pool != nullptr ? results[i].get() : materialize(e);
+    stats->decode_seconds += outcome.stats.decode_seconds;
+    stats->scatter_seconds += outcome.stats.scatter_seconds;
+    stats->chunk_count += outcome.stats.chunk_count;
+    if (report != nullptr) ++report->chunks_total;
+    if (outcome.status.ok()) {
+      if (report != nullptr) {
+        ++report->chunks_recovered;
+        report->bytes_recovered += outcome.recovered_bytes;
+      }
+      continue;
+    }
+    const uint64_t elements = full_read ? e.header.element_count : e.elements;
+    // Under kFail the early return destroys `pool` first, draining its
+    // outstanding tasks before the plan and the output leave scope.
+    if (!src.salvage) {
+      RecordSalvageEntry(report, e.index, e.byte_offset, elements,
+                         outcome.stage, src.policy, outcome.status,
+                         e.dest_offset, 0);
+      CaptureFlightRecorder(report);
+      return outcome.status;
+    }
+    uint64_t lost_bytes = outcome.lost_bytes;
+    const uint64_t output_offset = e.dest_offset - skipped_bytes;
+    if (full_read && src.policy == ChunkErrorPolicy::kSkip) {
+      const size_t slice =
+          static_cast<size_t>(e.window_end - e.window_begin) * width;
+      if (slice > 0) removed.emplace_back(e.dest_offset, slice);
+      skipped_bytes += slice;
+      lost_bytes = e.elements * width;
+    }
+    RecordSalvageEntry(report, e.index, e.byte_offset, elements,
+                       outcome.stage, src.policy, outcome.status,
+                       output_offset, lost_bytes);
+    if (report != nullptr) report->bytes_recovered += outcome.recovered_bytes;
+  }
+  for (auto it = removed.rbegin(); it != removed.rend(); ++it) {
+    out->erase(out->begin() + it->first,
+               out->begin() + it->first + it->second);
+  }
+  if (pool != nullptr) pool->PublishStats();
+  return Status::OK();
+}
+
+/// Materialize step of full and range reads.
+ChunkOutcome DecodeWindow(const ReadSource& src, const PlanEntry& e,
+                          Bytes* out) {
+  const MutableByteSpan dest(
+      out->data() + e.dest_offset,
+      static_cast<size_t>(e.window_end - e.window_begin) * src.header.width);
+  ChunkOutcome outcome;
+  outcome.status = e.error;
+  if (e.error.ok()) {
+    outcome.status = AnnotateChunkError(
+        DecodeChunkWindow(e.header, e.compressed, e.raw, *src.codec,
+                          src.header.linearization, src.header.width,
+                          src.options.verify_checksums, e.window_begin, dest,
+                          &outcome.stats, &outcome.stage,
+                          &ScratchArena::ThreadLocal(), e.index,
+                          container::RawSectionLinearization(
+                              src.header.version)),
+        e.index, e.byte_offset);
+  }
+  (outcome.status.ok() ? outcome.recovered_bytes : outcome.lost_bytes) =
+      dest.size();
+  return outcome;
 }
 
 }  // namespace
@@ -500,254 +543,62 @@ Result<Bytes> IsobarCompressor::Decompress(ByteSpan container_bytes,
       telemetry::GetCounter("pipeline.decompress_output_bytes");
   decompress_calls.Increment();
   decompress_input.Add(container_bytes.size());
-
   DecompressionStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   *stats = DecompressionStats{};
-  const ChunkErrorPolicy policy = options.on_chunk_error;
-  const bool salvage = policy != ChunkErrorPolicy::kFail;
-  SalvageReport* report = options.salvage_report;
-  if (report != nullptr) *report = SalvageReport{};
-
   Stopwatch total_timer;
-  Stopwatch parse_timer;
-  size_t offset = 0;
-  ISOBAR_ASSIGN_OR_RETURN(container::Header header,
-                          container::ParseHeader(container_bytes, &offset));
-  ISOBAR_ASSIGN_OR_RETURN(const Codec* codec, GetCodec(header.codec));
 
-  size_t payload_end = container_bytes.size();
-  IndexResolution resolution;
-  ISOBAR_RETURN_NOT_OK(ResolveChunkIndex(container_bytes, salvage, &header,
-                                         &payload_end, &resolution));
-  stats->parse_seconds += parse_timer.ElapsedSeconds();
+  ReadSource src;
+  ISOBAR_RETURN_NOT_OK(OpenRead(container_bytes, options, stats, &src));
+  const size_t width = src.header.width;
+  DecodePlan plan;
+  const Status walked = WalkRecords(src, container::kUnknownCount, &plan,
+                                    &stats->parse_seconds);
+  // Every record lands whole at the next output offset; a record damaged
+  // while planning takes no room under kSkip.
+  uint64_t out_bytes = 0;
+  for (PlanEntry& e : plan.entries) {
+    e.window_end = e.error.ok() || src.policy == ChunkErrorPolicy::kZeroFill
+                       ? e.elements
+                       : 0;
+    e.dest_offset = out_bytes;
+    out_bytes += e.window_end * width;
+  }
+  const PlanEntry& stop = plan.stop;
+  if (!stop.error.ok()) {
+    // The full read documents the record that ended its walk before any
+    // chunk decodes.
+    RecordSalvageEntry(src.report, stop.index, stop.byte_offset,
+                       stop.header.element_count, ChunkFailureStage::kHeader,
+                       src.policy, stop.error, out_bytes, 0);
+    if (plan.tail_lost && src.report != nullptr) {
+      src.report->truncated_tail = true;
+    }
+    CaptureFlightRecorder(src.report);
+  }
+  ISOBAR_RETURN_NOT_OK(walked);
 
-  const size_t width = header.width;
-  // Counted containers (batch writer, or any container with a valid
-  // footer) carry the chunk total; footer-less streamed containers use
-  // the kUnknownCount sentinel and run to the end.
-  const bool counted = header.chunk_count != container::kUnknownCount;
-
-  // --- Parse pass: chunk records are self-delimiting, so one cheap
-  // header walk yields every record's payload slices and its (disjoint)
-  // destination range in the output buffer. Damage found here is either
-  // contained (the record still delimits itself: bad element count) or
-  // fatal to the tail (framing destroyed: header unparseable or section
-  // sizes running past the container).
-  std::vector<ChunkWork> chunks;
-  if (counted) {
-    // The count is untrusted; each record is at least a chunk header, so
-    // the buffer bounds how many records a reserve may assume.
-    chunks.reserve(static_cast<size_t>(std::min<uint64_t>(
-        header.chunk_count,
-        container_bytes.size() / container::kChunkHeaderSize + 1)));
-  }
-  size_t out_bytes = 0;
-  bool tail_lost = false;
-  while (counted ? chunks.size() < header.chunk_count
-                 : offset < payload_end) {
-    Stopwatch chunk_parse_timer;
-    ChunkWork work;
-    work.index = chunks.size();
-    work.byte_offset = offset;
-    auto parsed = container::ParseChunkHeader(container_bytes, &offset);
-    if (!parsed.ok()) {
-      const Status annotated =
-          AnnotateChunkError(parsed.status(), work.index, work.byte_offset);
-      // Record framing is gone: the rest of the container cannot be
-      // delimited, so everything from here on is lost.
-      work.error = annotated;
-      RecordSalvage(report, work, ChunkFailureStage::kHeader, policy,
-                    annotated, out_bytes, 0);
-      if (report != nullptr) report->truncated_tail = true;
-      if (!salvage) {
-        CaptureFlightRecorder(report);
-        return annotated;
-      }
-      tail_lost = true;
-      break;
-    }
-    work.header = *parsed;
-    work.compressed =
-        container_bytes.subspan(offset, work.header.compressed_size);
-    offset += work.header.compressed_size;
-    work.raw = container_bytes.subspan(offset, work.header.raw_size);
-    offset += work.header.raw_size;
-    if (work.header.element_count > header.chunk_elements) {
-      const Status annotated = AnnotateChunkError(
-          Status::Corruption("container: chunk claims more elements than "
-                             "the header's chunk size"),
-          work.index, work.byte_offset);
-      if (!salvage) {
-        RecordSalvage(report, work, ChunkFailureStage::kHeader, policy,
-                      annotated, out_bytes, 0);
-        CaptureFlightRecorder(report);
-        return annotated;
-      }
-      // The record is still delimited by its (intact) section sizes; its
-      // element count is untrustworthy, so assume a full chunk — the
-      // common case for every record but the last.
-      work.damaged = true;
-      work.error = annotated;
-      work.dest_elements = policy == ChunkErrorPolicy::kZeroFill
-                               ? header.chunk_elements
-                               : 0;
-    } else {
-      work.dest_elements = work.header.element_count;
-    }
-    work.out_offset = out_bytes;
-    out_bytes += static_cast<size_t>(work.dest_elements) * width;
-    chunks.push_back(work);
-    stats->parse_seconds += chunk_parse_timer.ElapsedSeconds();
-  }
-  if (!tail_lost && offset != payload_end) {
-    if (!salvage) {
-      return Status::Corruption("container: trailing bytes after last chunk");
-    }
-    if (report != nullptr && offset < payload_end) {
-      report->trailing_bytes = payload_end - offset;
-    }
-  }
-  uint64_t declared_total = container::kUnknownCount;
-  if (header.element_count != container::kUnknownCount &&
-      !container::CheckedMul64(header.element_count, width,
-                               &declared_total)) {
-    // A hostile element_count near 2^64 would wrap the product and make
-    // the mismatch check below pass (or fail) arbitrarily.
-    return Status::Corruption("container: element count overflows");
-  }
-  const bool any_parse_damage =
-      tail_lost || std::any_of(chunks.begin(), chunks.end(),
-                               [](const ChunkWork& w) { return w.damaged; });
-  if (declared_total != container::kUnknownCount && !any_parse_damage &&
-      out_bytes != declared_total) {
-    // With every record intact the totals must reconcile, salvage mode or
-    // not; damaged parses expectedly break the sum.
-    return Status::Corruption("container: element count mismatch");
-  }
-
-  // --- Decode pass: fan the payload work (decode → scatter → CRC) out
-  // across the pool (or run it inline when serial); every chunk writes
-  // only its own disjoint slice of `out`. resize() zero-initializes, so a
-  // zero-filled chunk is simply one whose slice is never written (or is
-  // re-zeroed after a partial scatter).
-  Bytes out;
-  out.resize(out_bytes);
-  struct ChunkOutcome {
-    Status status;
-    ChunkFailureStage stage = ChunkFailureStage::kPayload;
-    DecompressionStats stats;
-  };
-  auto decode_one = [&](const ChunkWork& work) -> ChunkOutcome {
-    telemetry::ScopedSpan chunk_span("decompress.chunk", 0, work.index + 1);
-    ChunkOutcome outcome;
-    if (work.damaged) {
-      outcome.status = work.error;
-      outcome.stage = ChunkFailureStage::kHeader;
-      return outcome;
-    }
-    MutableByteSpan dest(out.data() + work.out_offset,
-                         static_cast<size_t>(work.dest_elements) * width);
-    outcome.status = DecodeChunkPayload(
-        work.header, work.compressed, work.raw, *codec, header.linearization,
-        width, options.verify_checksums, dest, &outcome.stats,
-        &outcome.stage, &ScratchArena::ThreadLocal(), work.index,
-        container::RawSectionLinearization(header.version));
-    if (!outcome.status.ok()) {
-      outcome.status =
-          AnnotateChunkError(outcome.status, work.index, work.byte_offset);
-    }
-    return outcome;
-  };
-
-  const size_t num_threads = ResolveNumThreads(options.num_threads);
-  std::vector<std::future<ChunkOutcome>> results;
-  std::unique_ptr<ThreadPool> pool;
-  if (num_threads > 1 && chunks.size() > 1) {
-    pool = std::make_unique<ThreadPool>(num_threads);
-    results.reserve(chunks.size());
-    for (const ChunkWork& work : chunks) {
-      results.push_back(pool->Submit([&work, &decode_one] {
-        return decode_one(work);
-      }));
-    }
-  }
-
-  // Consume outcomes in chunk order; damaged slices collapse (kSkip) or
-  // stay zeroed (kZeroFill). `removed` tracks ranges to erase so the
-  // compaction runs once, back to front, after the loop.
-  std::vector<std::pair<size_t, size_t>> removed;  // (offset, bytes)
-  uint64_t skipped_bytes_before = 0;
-  for (size_t i = 0; i < chunks.size(); ++i) {
-    const ChunkWork& work = chunks[i];
-    ChunkOutcome outcome =
-        pool != nullptr ? results[i].get() : decode_one(work);
-    if (report != nullptr) ++report->chunks_total;
-    if (outcome.status.ok()) {
-      stats->decode_seconds += outcome.stats.decode_seconds;
-      stats->scatter_seconds += outcome.stats.scatter_seconds;
-      stats->chunk_count += outcome.stats.chunk_count;
-      if (report != nullptr) {
-        ++report->chunks_recovered;
-        report->bytes_recovered +=
-            static_cast<uint64_t>(work.dest_elements) * width;
-      }
-      continue;
-    }
-    // On error under kFail the early return destroys `pool` first,
-    // draining outstanding tasks before `chunks` and `out` leave scope.
-    if (!salvage) {
-      RecordSalvage(report, work, outcome.stage, policy, outcome.status,
-                    work.out_offset, 0);
-      CaptureFlightRecorder(report);
-      return outcome.status;
-    }
-    const size_t slice_bytes = static_cast<size_t>(work.dest_elements) * width;
-    const uint64_t salvage_offset = work.out_offset - skipped_bytes_before;
-    if (policy == ChunkErrorPolicy::kZeroFill) {
-      // A failed decode may have partially scattered into its slice.
-      std::fill(out.begin() + work.out_offset,
-                out.begin() + work.out_offset + slice_bytes, uint8_t{0});
-      RecordSalvage(report, work, outcome.stage, policy, outcome.status,
-                    salvage_offset, slice_bytes);
-    } else {
-      if (slice_bytes > 0) removed.emplace_back(work.out_offset, slice_bytes);
-      const uint64_t lost =
-          static_cast<uint64_t>(work.header.element_count <=
-                                        header.chunk_elements
-                                    ? work.header.element_count
-                                    : header.chunk_elements) *
-          width;
-      RecordSalvage(report, work, outcome.stage, policy, outcome.status,
-                    salvage_offset, lost);
-      skipped_bytes_before += slice_bytes;
-    }
-  }
-  for (auto it = removed.rbegin(); it != removed.rend(); ++it) {
-    out.erase(out.begin() + it->first, out.begin() + it->first + it->second);
-  }
-  if (salvage && policy == ChunkErrorPolicy::kZeroFill && tail_lost &&
-      declared_total != container::kUnknownCount &&
-      out.size() < declared_total) {
+  Bytes out(static_cast<size_t>(out_bytes), 0);
+  ISOBAR_RETURN_NOT_OK(ExecutePlan(
+      src, plan, /*full_read=*/true,
+      [&](const PlanEntry& e) { return DecodeWindow(src, e, &out); }, &out,
+      stats));
+  const uint64_t declared_elements = src.header.element_count;
+  if (src.policy == ChunkErrorPolicy::kZeroFill && plan.tail_lost &&
+      declared_elements != container::kUnknownCount &&
+      out.size() < declared_elements * width) {
     // Counted container with its tail framing destroyed: pad to the
     // declared size so downstream readers still see a full-shape restart
     // file, holes and all.
-    const uint64_t pad = declared_total - out.size();
-    out.resize(static_cast<size_t>(declared_total));
-    if (report != nullptr && !report->damaged.empty()) {
-      report->damaged.back().lost_bytes += pad;
-      report->bytes_lost += pad;
+    const uint64_t pad = declared_elements * width - out.size();
+    out.resize(static_cast<size_t>(declared_elements * width));
+    if (src.report != nullptr && !src.report->damaged.empty()) {
+      src.report->damaged.back().lost_bytes += pad;
+      src.report->bytes_lost += pad;
     }
   }
-
-  if (pool != nullptr) pool->PublishStats();
-  if (report != nullptr && !report->clean()) CaptureFlightRecorder(report);
-
-  stats->input_bytes = container_bytes.size();
-  stats->output_bytes = out.size();
-  stats->total_seconds = total_timer.ElapsedSeconds();
   decompress_output.Add(out.size());
-  return out;
+  return FinishRead(src, std::move(out), total_timer, stats);
 }
 
 Result<Bytes> IsobarCompressor::DecompressRange(
@@ -759,36 +610,19 @@ Result<Bytes> IsobarCompressor::DecompressRange(
   static telemetry::Counter& range_chunks =
       telemetry::GetCounter("pipeline.range_chunks_decoded");
   range_reads.Increment();
-
   DecompressionStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   *stats = DecompressionStats{};
   if (first_element > end_element) {
     return Status::InvalidArgument("range: first_element > end_element");
   }
-  const ChunkErrorPolicy policy = options.on_chunk_error;
-  const bool salvage = policy != ChunkErrorPolicy::kFail;
-  SalvageReport* report = options.salvage_report;
-  if (report != nullptr) *report = SalvageReport{};
-
   Stopwatch total_timer;
-  Stopwatch parse_timer;
-  size_t offset = 0;
-  ISOBAR_ASSIGN_OR_RETURN(container::Header header,
-                          container::ParseHeader(container_bytes, &offset));
-  ISOBAR_ASSIGN_OR_RETURN(const Codec* codec, GetCodec(header.codec));
-  size_t payload_end = container_bytes.size();
-  IndexResolution resolution;
-  ISOBAR_RETURN_NOT_OK(ResolveChunkIndex(container_bytes, salvage, &header,
-                                         &payload_end, &resolution));
-  stats->parse_seconds += parse_timer.ElapsedSeconds();
-  const size_t width = header.width;
-  const bool counted = header.chunk_count != container::kUnknownCount;
-  const Linearization raw_linearization =
-      container::RawSectionLinearization(header.version);
 
-  if (header.element_count != container::kUnknownCount &&
-      end_element > header.element_count) {
+  ReadSource src;
+  ISOBAR_RETURN_NOT_OK(OpenRead(container_bytes, options, stats, &src));
+  const size_t width = src.header.width;
+  if (src.header.element_count != container::kUnknownCount &&
+      end_element > src.header.element_count) {
     return Status::InvalidArgument(
         "range: end_element past the container's element count");
   }
@@ -799,168 +633,60 @@ Result<Bytes> IsobarCompressor::DecompressRange(
     return Status::InvalidArgument("range: output size overflows");
   }
   Bytes out(static_cast<size_t>(out_bytes), 0);
-  stats->input_bytes = container_bytes.size();
   if (first_element == end_element) {
-    stats->output_bytes = 0;
     stats->total_seconds = total_timer.ElapsedSeconds();
     return out;
   }
 
-  // --- Plan: the chunk records covering [first, end). With an index the
-  // covering entries are found by binary search and only those records'
-  // headers are parsed; without one (v1, or damaged footer under salvage)
-  // a sequential header walk runs just far enough to cover the range.
-  std::vector<PlannedChunk> plan;
-  bool tail_lost = false;
-  Status tail_error;
-  uint64_t tail_index = 0;
-  uint64_t tail_offset = 0;
-  uint64_t walked_elements = container::kUnknownCount;
-  if (resolution.have_index) {
-    const std::vector<container::IndexEntry>& entries =
-        resolution.index.entries;
-    size_t i = static_cast<size_t>(
-        std::upper_bound(entries.begin(), entries.end(), first_element,
-                         [](uint64_t value, const container::IndexEntry& e) {
-                           return value < e.element_offset;
-                         }) -
-        entries.begin());
-    if (i > 0) --i;
-    Stopwatch plan_timer;
-    for (; i < entries.size() && entries[i].element_offset < end_element;
-         ++i) {
-      const container::IndexEntry& entry = entries[i];
-      if (entry.element_offset + entry.element_count <= first_element) {
-        continue;  // The search's candidate may end before the range.
-      }
-      PlannedChunk work;
-      work.index = i;
-      work.byte_offset = entry.record_offset;
-      work.element_offset = entry.element_offset;
-      size_t record_offset = static_cast<size_t>(entry.record_offset);
-      auto parsed = container::ParseChunkHeader(container_bytes,
-                                                &record_offset);
-      if (parsed.ok() && parsed->element_count == entry.element_count) {
-        work.header = *parsed;
-        work.compressed = container_bytes.subspan(
-            record_offset, work.header.compressed_size);
-        work.raw = container_bytes.subspan(
-            record_offset + work.header.compressed_size,
-            work.header.raw_size);
-      } else {
-        const Status cause =
-            parsed.ok() ? Status::Corruption(
-                              "container: chunk record disagrees with its "
-                              "index entry")
-                        : parsed.status();
-        work.damaged = true;
-        work.header.element_count = entry.element_count;
-        work.error = AnnotateChunkError(cause, i, entry.record_offset);
-      }
-      plan.push_back(std::move(work));
-    }
-    stats->parse_seconds += plan_timer.ElapsedSeconds();
+  // The index names the covering records directly; without one (v1, or a
+  // damaged footer under salvage) the walk runs just far enough to cover
+  // the window.
+  DecodePlan plan;
+  if (src.footer.have_index) {
+    PlanFromIndex(src, first_element, end_element, &plan,
+                  &stats->parse_seconds);
   } else {
-    WalkResult walk;
-    ISOBAR_RETURN_NOT_OK(WalkChunkRecords(container_bytes, header, counted,
-                                          payload_end, policy, end_element,
-                                          &walk, &stats->parse_seconds));
-    plan = std::move(walk.plan);
-    tail_lost = walk.tail_lost;
-    tail_error = walk.tail_error;
-    tail_index = walk.tail_index;
-    tail_offset = walk.tail_offset;
-    walked_elements = walk.total_elements;
-    if (tail_lost && report != nullptr) report->truncated_tail = true;
-    if (!tail_lost && walk.total_elements < end_element &&
-        header.element_count == container::kUnknownCount) {
+    ISOBAR_RETURN_NOT_OK(
+        WalkRecords(src, end_element, &plan, &stats->parse_seconds));
+    if (plan.tail_lost && src.report != nullptr) {
+      src.report->truncated_tail = true;
+    }
+    if (!plan.tail_lost && plan.walked_elements < end_element &&
+        src.header.element_count == container::kUnknownCount) {
       // Footer-less streamed container that ran out of records before the
-      // range's end: the range is out of bounds, not damaged.
+      // window's end: the window is out of bounds, not damaged.
       return Status::InvalidArgument(
           "range: end_element past the container's element count");
     }
   }
-
-  // --- Decode pass over the covering chunks only. A chunk fully inside
-  // the range decodes straight into its output slice; boundary chunks
-  // decode into scratch and copy the intersection out.
-  ScratchArena& arena = ScratchArena::ThreadLocal();
-  Bytes scratch;
-  for (const PlannedChunk& work : plan) {
-    const uint64_t n = work.header.element_count;
-    const uint64_t inter_begin = std::max(first_element, work.element_offset);
-    const uint64_t inter_end = std::min(end_element, work.element_offset + n);
-    if (inter_begin >= inter_end) continue;  // Walk-collected early chunk.
-    const size_t inter_bytes =
-        static_cast<size_t>(inter_end - inter_begin) * width;
-    const size_t out_offset =
-        static_cast<size_t>(inter_begin - first_element) * width;
-    if (report != nullptr) ++report->chunks_total;
-    ChunkFailureStage stage = ChunkFailureStage::kHeader;
-    Status status = work.error;
-    if (!work.damaged) {
-      const bool whole = work.element_offset >= first_element &&
-                         work.element_offset + n <= end_element;
-      MutableByteSpan dest;
-      if (whole) {
-        dest = MutableByteSpan(out.data() + out_offset,
-                               static_cast<size_t>(n) * width);
-      } else {
-        scratch.resize(static_cast<size_t>(n) * width);
-        dest = MutableByteSpan(scratch);
-      }
-      status = DecodeChunkPayload(work.header, work.compressed, work.raw,
-                                  *codec, header.linearization, width,
-                                  options.verify_checksums, dest, stats,
-                                  &stage, &arena, work.index,
-                                  raw_linearization);
-      if (status.ok()) {
-        range_chunks.Increment();
-        if (!whole) {
-          std::memcpy(out.data() + out_offset,
-                      scratch.data() +
-                          static_cast<size_t>(inter_begin -
-                                              work.element_offset) *
-                              width,
-                      inter_bytes);
-        }
-        if (report != nullptr) {
-          ++report->chunks_recovered;
-          report->bytes_recovered += inter_bytes;
-        }
-        continue;
-      }
-      status = AnnotateChunkError(status, work.index, work.byte_offset);
-    }
-    if (!salvage) {
-      RecordSalvageEntry(report, work.index, work.byte_offset, n, stage,
-                         policy, status, out_offset, 0);
-      CaptureFlightRecorder(report);
-      return status;
-    }
-    // Both salvage policies zero-fill here: dropping the slice would shift
-    // the range's element addressing. A failed whole-chunk decode may have
-    // partially scattered into the output; re-zero its slice.
-    std::fill(out.begin() + out_offset, out.begin() + out_offset + inter_bytes,
-              uint8_t{0});
-    RecordSalvageEntry(report, work.index, work.byte_offset, n, stage, policy,
-                       status, out_offset, inter_bytes);
+  std::erase_if(plan.entries, [&](const PlanEntry& e) {
+    return e.element_offset + e.elements <= first_element ||
+           e.element_offset >= end_element;
+  });
+  for (PlanEntry& e : plan.entries) {
+    const uint64_t begin = std::max(first_element, e.element_offset);
+    e.window_begin = begin - e.element_offset;
+    e.window_end = std::min(end_element, e.element_offset + e.elements) -
+                   e.element_offset;
+    e.dest_offset = (begin - first_element) * width;
   }
-  if (tail_lost && walked_elements < end_element) {
-    // Sequential fallback died before covering the range; the uncovered
-    // slice stays zeroed and is billed to the framing failure.
-    const uint64_t lost_begin = std::max(first_element, walked_elements);
-    RecordSalvageEntry(report, tail_index, tail_offset, 0,
-                       ChunkFailureStage::kHeader, policy, tail_error,
-                       (lost_begin - first_element) * width,
+
+  const Status executed = ExecutePlan(
+      src, plan, /*full_read=*/false,
+      [&](const PlanEntry& e) { return DecodeWindow(src, e, &out); }, &out,
+      stats);
+  range_chunks.Add(stats->chunk_count);
+  ISOBAR_RETURN_NOT_OK(executed);
+  if (plan.tail_lost && plan.walked_elements < end_element) {
+    // The walk died before covering the window; the uncovered slice stays
+    // zeroed and is billed to the framing failure.
+    const uint64_t lost_begin = std::max(first_element, plan.walked_elements);
+    RecordSalvageEntry(src.report, plan.stop.index, plan.stop.byte_offset, 0,
+                       ChunkFailureStage::kHeader, src.policy,
+                       plan.stop.error, (lost_begin - first_element) * width,
                        (end_element - lost_begin) * width);
-    CaptureFlightRecorder(report);
   }
-  if (report != nullptr && !report->clean()) CaptureFlightRecorder(report);
-
-  stats->output_bytes = out.size();
-  stats->total_seconds = total_timer.ElapsedSeconds();
-  return out;
+  return FinishRead(src, std::move(out), total_timer, stats);
 }
 
 Result<Bytes> IsobarCompressor::DecompressColumns(
@@ -969,255 +695,92 @@ Result<Bytes> IsobarCompressor::DecompressColumns(
   telemetry::ScopedSpan columns_span("decompress.columns");
   static telemetry::Counter& column_reads =
       telemetry::GetCounter("pipeline.column_reads");
-  static telemetry::Counter& planes_raw =
-      telemetry::GetCounter("pipeline.column_planes_raw");
-  static telemetry::Counter& planes_decoded =
-      telemetry::GetCounter("pipeline.column_planes_decoded");
   column_reads.Increment();
-
   DecompressionStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   *stats = DecompressionStats{};
-  const ChunkErrorPolicy policy = options.on_chunk_error;
-  const bool salvage = policy != ChunkErrorPolicy::kFail;
-  SalvageReport* report = options.salvage_report;
-  if (report != nullptr) *report = SalvageReport{};
-
   Stopwatch total_timer;
-  Stopwatch parse_timer;
-  size_t offset = 0;
-  ISOBAR_ASSIGN_OR_RETURN(container::Header header,
-                          container::ParseHeader(container_bytes, &offset));
-  ISOBAR_ASSIGN_OR_RETURN(const Codec* codec, GetCodec(header.codec));
-  size_t payload_end = container_bytes.size();
-  IndexResolution resolution;
-  ISOBAR_RETURN_NOT_OK(ResolveChunkIndex(container_bytes, salvage, &header,
-                                         &payload_end, &resolution));
-  stats->parse_seconds += parse_timer.ElapsedSeconds();
-  const size_t width = header.width;
-  const bool counted = header.chunk_count != container::kUnknownCount;
-  const uint64_t full_mask = FullMask(width);
-  const Linearization raw_linearization =
-      container::RawSectionLinearization(header.version);
 
+  ReadSource src;
+  ISOBAR_RETURN_NOT_OK(OpenRead(container_bytes, options, stats, &src));
+  const size_t width = src.header.width;
   if (column_mask == 0) {
     return Status::InvalidArgument("columns: empty column mask");
   }
-  if ((column_mask & ~full_mask) != 0) {
+  if ((column_mask & ~FullMask(width)) != 0) {
     return Status::InvalidArgument(
         "columns: mask has bits beyond the element width");
   }
-  const size_t requested = static_cast<size_t>(
-      PopcountMask(column_mask, width));
+  const size_t requested = static_cast<size_t>(PopcountMask(column_mask,
+                                                            width));
 
   // Every chunk holds a slice of every column, so the record walk always
   // runs in full; the index's contribution is the trustworthy totals and
   // payload bound resolved above.
-  WalkResult walk;
-  ISOBAR_RETURN_NOT_OK(WalkChunkRecords(container_bytes, header, counted,
-                                        payload_end, policy,
-                                        container::kUnknownCount, &walk,
-                                        &stats->parse_seconds));
-  if (walk.tail_lost && report != nullptr) report->truncated_tail = true;
-  if (!walk.tail_lost && walk.end_offset != payload_end) {
-    if (!salvage) {
-      return Status::Corruption("container: trailing bytes after last chunk");
-    }
-    if (report != nullptr && walk.end_offset < payload_end) {
-      report->trailing_bytes = payload_end - walk.end_offset;
-    }
-  }
-  const bool any_parse_damage =
-      walk.tail_lost ||
-      std::any_of(walk.plan.begin(), walk.plan.end(),
-                  [](const PlannedChunk& w) { return w.damaged; });
-  if (header.element_count != container::kUnknownCount && !any_parse_damage &&
-      walk.total_elements != header.element_count) {
-    return Status::Corruption("container: element count mismatch");
+  DecodePlan plan;
+  ISOBAR_RETURN_NOT_OK(WalkRecords(src, container::kUnknownCount, &plan,
+                                   &stats->parse_seconds));
+  if (plan.tail_lost && src.report != nullptr) {
+    src.report->truncated_tail = true;
   }
   // Damage can only shrink coverage; size the planes to the declared total
   // when one exists so holes stay holes instead of shifting planes.
   const uint64_t total_elements =
-      header.element_count != container::kUnknownCount
-          ? header.element_count
-          : walk.total_elements;
+      src.header.element_count != container::kUnknownCount
+          ? src.header.element_count
+          : plan.walked_elements;
   uint64_t out_bytes = 0;
   if (!container::CheckedMul64(total_elements, requested, &out_bytes) ||
       out_bytes > std::numeric_limits<size_t>::max()) {
     return Status::Corruption("columns: output size overflows");
   }
   Bytes out(static_cast<size_t>(out_bytes), 0);
-  stats->input_bytes = container_bytes.size();
-
-  // Plane p (the p-th requested column, ascending) occupies
-  // out[p * total_elements, (p + 1) * total_elements).
-  const size_t plane_stride = static_cast<size_t>(total_elements);
-  ScratchArena& arena = ScratchArena::ThreadLocal();
-  Bytes& decoded = arena.buffer(ScratchArena::kDecoded);
-  for (const PlannedChunk& work : walk.plan) {
-    const uint64_t n = work.header.element_count;
-    const size_t elem_off = static_cast<size_t>(work.element_offset);
-    if (report != nullptr) ++report->chunks_total;
-    if (work.element_offset + n > total_elements) {
-      // Over-declared records under salvage can run past the declared
-      // total; their planes stay zero rather than write out of bounds.
-      RecordSalvageEntry(report, work.index, work.byte_offset, n,
-                         ChunkFailureStage::kHeader, policy,
-                         work.damaged
-                             ? work.error
-                             : Status::Corruption(
-                                   "container: chunk extends past the "
-                                   "declared element count"),
-                         elem_off, 0);
-      continue;
-    }
-    // Failure helper: zero is already the content of every unwritten
-    // plane segment, so "losing" planes is pure bookkeeping.
-    auto fail_chunk = [&](ChunkFailureStage stage, const Status& error,
-                          uint64_t lost_mask) -> Status {
-      const uint64_t lost_bytes =
-          n * static_cast<uint64_t>(PopcountMask(lost_mask, width));
-      if (!salvage) {
-        RecordSalvageEntry(report, work.index, work.byte_offset, n, stage,
-                           policy, error, elem_off, 0);
-        CaptureFlightRecorder(report);
-        return error;
-      }
-      RecordSalvageEntry(report, work.index, work.byte_offset, n, stage,
-                         policy, error, elem_off, lost_bytes);
-      return Status::OK();
-    };
-    if (work.damaged) {
-      ISOBAR_RETURN_NOT_OK(
-          fail_chunk(ChunkFailureStage::kHeader, work.error, column_mask));
-      continue;
-    }
-    const bool undetermined =
-        (work.header.flags & container::kChunkUndetermined) != 0;
-    const uint64_t chunk_mask =
-        undetermined ? full_mask : work.header.compressible_mask;
-    if ((chunk_mask & ~full_mask) != 0) {
-      ISOBAR_RETURN_NOT_OK(fail_chunk(
-          ChunkFailureStage::kPayload,
-          AnnotateChunkError(
-              Status::Corruption(
-                  "container: chunk mask exceeds element width"),
-              work.index, work.byte_offset),
-          column_mask));
-      continue;
-    }
-    const uint64_t raw_mask = full_mask & ~chunk_mask;
-    const size_t raw_width = static_cast<size_t>(
-        PopcountMask(raw_mask, width));
-    const size_t selected = width - raw_width;
-    if (work.header.raw_size != n * raw_width) {
-      ISOBAR_RETURN_NOT_OK(fail_chunk(
-          ChunkFailureStage::kPayload,
-          AnnotateChunkError(
-              Status::Corruption("container: raw section size mismatch"),
-              work.index, work.byte_offset),
-          column_mask));
-      continue;
-    }
-    const uint64_t req_raw = column_mask & raw_mask;
-    const uint64_t req_solver = column_mask & chunk_mask;
-    uint64_t recovered_mask = 0;
-
-    // Noise planes come straight off the raw section — on v2 one memcpy
-    // per plane; v1 interleaved them, so the legacy layout pays a strided
-    // gather.
-    for (uint64_t rest = req_raw; rest != 0; rest &= rest - 1) {
-      const size_t c = static_cast<size_t>(__builtin_ctzll(rest));
-      const size_t r = ColumnRank(raw_mask, c);
-      const size_t p = ColumnRank(column_mask, c);
-      uint8_t* dest = out.data() + p * plane_stride + elem_off;
-      if (raw_linearization == Linearization::kColumn) {
-        std::memcpy(dest, work.raw.data() + r * n,
-                    static_cast<size_t>(n));
-      } else {
-        const uint8_t* src = work.raw.data() + r;
-        for (size_t i = 0; i < n; ++i) dest[i] = src[i * raw_width];
-      }
-      planes_raw.Increment();
-    }
-    recovered_mask |= req_raw;
-
-    // Solver-held planes need the chunk's packed section materialized
-    // once; stored-raw chunks skip the codec and project directly.
-    if (req_solver != 0) {
-      const size_t expected_packed = static_cast<size_t>(n) * selected;
-      ByteSpan packed;
-      Status solver_status;
-      if ((work.header.flags & container::kChunkStoredRaw) != 0) {
-        if (work.compressed.size() != expected_packed) {
-          solver_status = Status::Corruption(
-              "container: stored section size mismatch");
-        } else {
-          packed = work.compressed;
-        }
-      } else {
-        Stopwatch decode_timer;
-        decoded.clear();
-        solver_status =
-            codec->Decompress(work.compressed, expected_packed, &decoded);
-        stats->decode_seconds += decode_timer.ElapsedSeconds();
-        if (solver_status.ok() && decoded.size() != expected_packed) {
-          solver_status = Status::Corruption(
-              "container: packed section size mismatch");
-        }
-        packed = ByteSpan(decoded);
-      }
-      if (!solver_status.ok()) {
-        // The raw planes above already served; only the solver-held
-        // planes of this chunk are lost.
-        ISOBAR_RETURN_NOT_OK(fail_chunk(
-            ChunkFailureStage::kPayload,
-            AnnotateChunkError(solver_status, work.index, work.byte_offset),
-            req_solver));
-        if (report != nullptr && req_raw != 0) {
-          report->bytes_recovered +=
-              n * static_cast<uint64_t>(PopcountMask(req_raw, width));
-        }
-        continue;
-      }
-      for (uint64_t rest = req_solver; rest != 0; rest &= rest - 1) {
-        const size_t c = static_cast<size_t>(__builtin_ctzll(rest));
-        const size_t r = ColumnRank(chunk_mask, c);
-        const size_t p = ColumnRank(column_mask, c);
-        uint8_t* dest = out.data() + p * plane_stride + elem_off;
-        if (header.linearization == Linearization::kColumn) {
-          std::memcpy(dest, packed.data() + r * n, static_cast<size_t>(n));
-        } else {
-          const uint8_t* src = packed.data() + r;
-          for (size_t i = 0; i < n; ++i) dest[i] = src[i * selected];
-        }
-        if ((work.header.flags & container::kChunkStoredRaw) != 0) {
-          planes_raw.Increment();
-        } else {
-          planes_decoded.Increment();
-        }
-      }
-      recovered_mask |= req_solver;
-    }
-    ++stats->chunk_count;
-    if (report != nullptr) {
-      ++report->chunks_recovered;
-      report->bytes_recovered +=
-          n * static_cast<uint64_t>(PopcountMask(recovered_mask, width));
+  for (PlanEntry& e : plan.entries) {
+    e.dest_offset = e.element_offset;
+    if (e.element_offset + e.elements <= total_elements) {
+      e.window_end = e.elements;
+    } else if (e.error.ok()) {
+      // Over-declared records under salvage can shift later ones past the
+      // declared total; their planes stay zero rather than write out of
+      // bounds.
+      e.error = Status::Corruption(
+          "container: chunk extends past the declared element count");
     }
   }
-  if (walk.tail_lost) {
-    RecordSalvageEntry(report, walk.tail_index, walk.tail_offset, 0,
-                       ChunkFailureStage::kHeader, policy, walk.tail_error,
-                       static_cast<size_t>(walk.total_elements),
-                       (total_elements - walk.total_elements) * requested);
-    CaptureFlightRecorder(report);
-  }
-  if (report != nullptr && !report->clean()) CaptureFlightRecorder(report);
 
-  stats->output_bytes = out.size();
-  stats->total_seconds = total_timer.ElapsedSeconds();
-  return out;
+  ISOBAR_RETURN_NOT_OK(ExecutePlan(
+      src, plan, /*full_read=*/false,
+      [&](const PlanEntry& e) {
+        ChunkOutcome outcome;
+        uint64_t served = 0;
+        outcome.status = e.error;
+        if (e.error.ok()) {
+          outcome.stage = ChunkFailureStage::kPayload;
+          outcome.status = AnnotateChunkError(
+              ProjectChunkColumns(
+                  e.header, e.compressed, e.raw, *src.codec,
+                  src.header.linearization, width, column_mask,
+                  out.data() + e.dest_offset,
+                  static_cast<size_t>(total_elements), &served,
+                  &outcome.stats, &ScratchArena::ThreadLocal(), e.index,
+                  container::RawSectionLinearization(src.header.version)),
+              e.index, e.byte_offset);
+        }
+        outcome.recovered_bytes =
+            e.elements * static_cast<uint64_t>(PopcountMask(served, width));
+        outcome.lost_bytes =
+            (e.window_end - e.window_begin) *
+            static_cast<uint64_t>(PopcountMask(column_mask & ~served, width));
+        return outcome;
+      },
+      &out, stats));
+  if (plan.tail_lost) {
+    RecordSalvageEntry(src.report, plan.stop.index, plan.stop.byte_offset, 0,
+                       ChunkFailureStage::kHeader, src.policy,
+                       plan.stop.error, plan.walked_elements,
+                       (total_elements - plan.walked_elements) * requested);
+  }
+  return FinishRead(src, std::move(out), total_timer, stats);
 }
 
 }  // namespace isobar

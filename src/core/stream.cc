@@ -14,13 +14,6 @@
 #include "util/stopwatch.h"
 
 namespace isobar {
-namespace {
-
-uint64_t FullMask(size_t width) {
-  return width >= 64 ? ~0ull : ((1ull << width) - 1);
-}
-
-}  // namespace
 
 IsobarStreamWriter::IsobarStreamWriter(CompressOptions options, size_t width,
                                        ByteSink* sink)
@@ -44,49 +37,13 @@ IsobarStreamWriter::IsobarStreamWriter(CompressOptions options, size_t width,
 Status IsobarStreamWriter::EnsurePipeline(ByteSpan training_data) {
   if (header_written_) return Status::OK();
 
-  // Same ISOBAR_FORCE_CODEC CI hook as the batch compressor; explicit
-  // caller overrides always win.
-  EupaOptions eupa = options_.eupa;
-  if (!eupa.forced_codec) eupa.forced_codec = ForcedCodecFromEnv();
-  decision_.preference = eupa.preference;
-  if (eupa.forced_codec && eupa.forced_linearization) {
-    decision_.codec = *eupa.forced_codec;
-    decision_.linearization = *eupa.forced_linearization;
-  } else if (!training_data.empty()) {
-    // Mirror the batch compressor's EUPA phase on the training window.
-    const Analyzer analyzer(options_.analyzer);
-    Stopwatch analysis_timer;
-    ISOBAR_ASSIGN_OR_RETURN(AnalysisResult probe,
-                            analyzer.Analyze(training_data, width_));
-    stats_.analysis_seconds += analysis_timer.ElapsedSeconds();
-    const uint64_t mask = probe.improvable() ? probe.compressible_mask
-                                             : FullMask(width_);
-    const EupaSelector selector(eupa);
-    ISOBAR_ASSIGN_OR_RETURN(decision_,
-                            selector.Select(training_data, width_, mask));
-  } else {
-    if (eupa.forced_codec) decision_.codec = *eupa.forced_codec;
-    if (eupa.forced_linearization) {
-      decision_.linearization = *eupa.forced_linearization;
-    }
-  }
+  // The batch compressor's EUPA phase, on the training window.
+  ISOBAR_ASSIGN_OR_RETURN(decision_,
+                          ChoosePipeline(options_, training_data,
+                                         training_data, width_,
+                                         &stats_.analysis_seconds));
   stats_.decision = decision_;
-  auto& recorder = telemetry::TraceRecorder::Global();
-  if (recorder.enabled()) {
-    trace_id_ = recorder.BeginPipeline(
-        std::string(CodecIdToString(decision_.codec)),
-        std::string(LinearizationToString(decision_.linearization)),
-        std::string(PreferenceToString(decision_.preference)), width_);
-    for (const CandidateEvaluation& eval : decision_.evaluations) {
-      telemetry::CandidateTrace candidate;
-      candidate.codec = std::string(CodecIdToString(eval.codec));
-      candidate.linearization =
-          std::string(LinearizationToString(eval.linearization));
-      candidate.ratio = eval.ratio;
-      candidate.throughput_mbps = eval.throughput_mbps;
-      recorder.RecordCandidate(trace_id_, std::move(candidate));
-    }
-  }
+  trace_id_ = BeginPipelineTrace(decision_, width_);
   ISOBAR_ASSIGN_OR_RETURN(codec_, GetCodec(decision_.codec));
 
   container::Header header;
@@ -288,33 +245,12 @@ IsobarStreamReader::IsobarStreamReader(ByteSpan container_bytes,
 Status IsobarStreamReader::Init() {
   ISOBAR_ASSIGN_OR_RETURN(header_, container::ParseHeader(container_, &offset_));
   ISOBAR_ASSIGN_OR_RETURN(codec_, GetCodec(header_.codec));
-  payload_end_ = container_.size();
-  if (header_.version >= container::kVersion) {
-    static telemetry::Counter& index_hits =
-        telemetry::GetCounter("pipeline.index_hits");
-    static telemetry::Counter& index_fallbacks =
-        telemetry::GetCounter("pipeline.index_fallbacks");
-    Result<container::ChunkIndex> parsed =
-        container::ParseFooter(container_, header_);
-    if (parsed.ok()) {
-      index_ = std::move(*parsed);
-      have_index_ = true;
-      payload_end_ = index_.payload_end;
-      // A streamed container's header holds sentinel totals; the validated
-      // footer supplies the real ones, so end-of-stream accounting (and
-      // SeekToChunk bounds) work as on a counted container.
-      header_.element_count = index_.element_count;
-      header_.chunk_count = index_.entries.size();
-      index_hits.Increment();
-    } else if (options_.on_chunk_error == ChunkErrorPolicy::kFail) {
-      return parsed.status();
-    } else {
-      // Damaged footer under a salvaging policy: fall back to the
-      // sequential record walk, which treats the footer bytes as whatever
-      // trailing damage they are.
-      index_fallbacks.Increment();
-    }
-  }
+  // A streamed container's header holds sentinel totals; a valid footer
+  // supplies the real ones, so end-of-stream accounting (and SeekToChunk
+  // bounds) work as on a counted container.
+  ISOBAR_RETURN_NOT_OK(ResolveChunkIndex(
+      container_, options_.on_chunk_error != ChunkErrorPolicy::kFail,
+      &header_, &footer_));
   initialized_ = true;
   return Status::OK();
 }
@@ -330,14 +266,14 @@ Result<bool> IsobarStreamReader::AtEnd() {
       options_.on_chunk_error != ChunkErrorPolicy::kFail;
   const bool counted = header_.chunk_count != container::kUnknownCount;
   const bool done = counted ? chunks_read_ == header_.chunk_count
-                            : offset_ == payload_end_;
+                            : offset_ == footer_.payload_end;
   if (!done) return false;
-  if (offset_ != payload_end_) {
+  if (offset_ != footer_.payload_end) {
     if (!salvage) {
       return Status::Corruption("container: trailing bytes after last chunk");
     }
-    if (offset_ < payload_end_) {
-      report_.trailing_bytes = payload_end_ - offset_;
+    if (offset_ < footer_.payload_end) {
+      report_.trailing_bytes = footer_.payload_end - offset_;
     }
     return true;
   }
@@ -357,49 +293,41 @@ bool IsobarStreamReader::SalvageDamagedChunk(
     const container::ChunkHeader& chunk_header, bool framed, uint64_t index,
     size_t record_offset, ChunkFailureStage stage, const Status& error,
     Bytes* chunk) {
-  static telemetry::Counter& salvaged =
-      telemetry::GetCounter("pipeline.chunks_salvaged");
-  static telemetry::Counter& zero_filled =
-      telemetry::GetCounter("pipeline.chunks_zero_filled");
-  const bool zero_fill =
-      framed && options_.on_chunk_error == ChunkErrorPolicy::kZeroFill;
-  // An element count above the container's nominal chunk size is itself
-  // corrupt; assume a full chunk, the shape of every record but the last.
-  const uint64_t assumed_elements =
-      !framed ? 0
-              : std::min<uint64_t>(chunk_header.element_count,
-                                   header_.chunk_elements);
-  ChunkSalvageRecord record;
-  record.chunk_index = index;
-  record.byte_offset = record_offset;
-  record.element_count = chunk_header.element_count;
-  record.output_offset = elements_read_ * header_.width;
-  record.lost_bytes = assumed_elements * header_.width;
-  record.stage = stage;
-  record.action = zero_fill ? ChunkErrorPolicy::kZeroFill
-                            : ChunkErrorPolicy::kSkip;
-  record.error = error;
-  report_.damaged.push_back(std::move(record));
-  report_.bytes_lost += assumed_elements * header_.width;
-  salvaged.Increment();
+  const uint64_t output_offset = elements_read_ * header_.width;
   if (!framed) {
     // The record no longer delimits itself: nothing after it is reachable.
-    report_.damaged.back().action = options_.on_chunk_error;
+    // Unlike a batch read, the stream does not count the lost tail as a
+    // skipped or zero-filled chunk.
+    static telemetry::Counter& salvaged =
+        telemetry::GetCounter("pipeline.chunks_salvaged");
+    salvaged.Increment();
+    ChunkSalvageRecord record;
+    record.chunk_index = index;
+    record.byte_offset = record_offset;
+    record.element_count = chunk_header.element_count;
+    record.output_offset = output_offset;
+    record.stage = stage;
+    record.action = options_.on_chunk_error;
+    record.error = error;
+    report_.damaged.push_back(std::move(record));
     tail_lost_ = true;
     report_.truncated_tail = true;
     return false;
   }
+  // An element count above the container's nominal chunk size is itself
+  // corrupt; assume a full chunk, the shape of every record but the last.
+  const uint64_t assumed_elements =
+      std::min<uint64_t>(chunk_header.element_count, header_.chunk_elements);
+  RecordSalvageEntry(&report_, index, record_offset,
+                     chunk_header.element_count, stage,
+                     options_.on_chunk_error, error, output_offset,
+                     assumed_elements * header_.width);
   ++report_.chunks_total;
   ++chunks_read_;
   elements_read_ += assumed_elements;
-  if (zero_fill) {
-    ++report_.chunks_zero_filled;
-    zero_filled.Increment();
-    chunk->assign(static_cast<size_t>(assumed_elements * header_.width), 0);
-    return true;
-  }
-  ++report_.chunks_skipped;
-  return false;
+  if (options_.on_chunk_error != ChunkErrorPolicy::kZeroFill) return false;
+  chunk->assign(static_cast<size_t>(assumed_elements * header_.width), 0);
+  return true;
 }
 
 Result<bool> IsobarStreamReader::NextChunk(Bytes* chunk) {
@@ -488,16 +416,17 @@ Status IsobarStreamReader::SeekToChunk(uint64_t n) {
       telemetry::GetCounter("pipeline.index_seeks");
   static telemetry::Counter& sequential_seeks =
       telemetry::GetCounter("pipeline.sequential_seeks");
-  if (have_index_) {
-    if (n > index_.entries.size()) {
+  if (footer_.have_index) {
+    if (n > footer_.index.entries.size()) {
       return Status::InvalidArgument("seek beyond the container's chunk count");
     }
-    if (n == index_.entries.size()) {
-      offset_ = payload_end_;
-      elements_read_ = index_.element_count;
+    if (n == footer_.index.entries.size()) {
+      offset_ = footer_.payload_end;
+      elements_read_ = footer_.index.element_count;
     } else {
-      offset_ = static_cast<size_t>(index_.entries[n].record_offset);
-      elements_read_ = index_.entries[n].element_offset;
+      offset_ =
+          static_cast<size_t>(footer_.index.entries[n].record_offset);
+      elements_read_ = footer_.index.entries[n].element_offset;
     }
     chunks_read_ = n;
     tail_lost_ = false;

@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "compressors/codec.h"
+#include "core/chunk_codec.h"
 #include "core/container.h"
 #include "core/isobar.h"
 #include "io/sink.h"
@@ -165,7 +166,7 @@ class IsobarStreamReader {
 
   /// True when Init() found (and validated) a v2 chunk-index footer:
   /// SeekToChunk is O(1) and header() carries the footer's adopted totals.
-  bool has_chunk_index() const { return have_index_; }
+  bool has_chunk_index() const { return footer_.have_index; }
 
   /// Chunks consumed so far (decoded, skipped, or salvaged).
   uint64_t chunks_read() const { return chunks_read_; }
@@ -198,11 +199,8 @@ class IsobarStreamReader {
   const Codec* codec_ = nullptr;
   bool initialized_ = false;
   size_t offset_ = 0;
-  /// Offset where chunk records end: the index footer's start on a v2
-  /// container, the container's end otherwise.
-  size_t payload_end_ = 0;
-  bool have_index_ = false;
-  container::ChunkIndex index_;
+  /// The v2 footer lookup, including where chunk records end.
+  ChunkIndexResolution footer_;
   uint64_t chunks_read_ = 0;
   uint64_t elements_read_ = 0;
   SalvageReport report_;

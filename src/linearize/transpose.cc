@@ -37,8 +37,7 @@ std::string_view LinearizationToString(Linearization lin) {
 }
 
 int PopcountMask(uint64_t column_mask, size_t width) {
-  if (width < 64) column_mask &= (1ull << width) - 1;
-  return __builtin_popcountll(column_mask);
+  return __builtin_popcountll(column_mask & FullMask(width));
 }
 
 Status GatherColumns(ByteSpan data, size_t width, uint64_t column_mask,

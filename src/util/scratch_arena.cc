@@ -23,6 +23,7 @@ void ScratchArena::PublishStats() const {
       &telemetry::GetHistogram("arena.raw.capacity_bytes"),
       &telemetry::GetHistogram("arena.compressed.capacity_bytes"),
       &telemetry::GetHistogram("arena.decoded.capacity_bytes"),
+      &telemetry::GetHistogram("arena.window.capacity_bytes"),
   };
   for (size_t s = 0; s < kSlotCount; ++s) {
     slots[s]->Observe(buffers_[s].capacity());

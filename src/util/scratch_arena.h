@@ -29,6 +29,7 @@ class ScratchArena {
     kRaw,           ///< Incompressible (noise) columns, stored verbatim.
     kCompressed,    ///< Solver output.
     kDecoded,       ///< Decode-side solver output staging.
+    kWindow,        ///< A decoded chunk only partly inside a range read.
     kSlotCount,
   };
 
