@@ -30,6 +30,10 @@
 #                                  # isobard under isobar_loadgen (asserts
 #                                  # zero protocol errors and a sane
 #                                  # reject/accept split)
+#   scripts/ci.sh perfbench        # benchmark checks: perfbench's
+#                                  # self-test, then short checkpoint and
+#                                  # insitu runs (untraced and traced)
+#                                  # that must report "correct": true
 #   scripts/ci.sh asan -R telemetry  # extra args are forwarded to ctest
 #
 # The tsan configuration exports ISOBAR_TEST_THREADS (default 4) so every
@@ -320,9 +324,36 @@ fuzz() {
   echo "=== [${name}] OK ==="
 }
 
+# Benchmark checks. perfbench/ compiles the library from src/ itself and
+# calls internal decode APIs (DecodeChunk, ParseFooter, ...), so a change
+# can break the benchmark while the test suite stays green. First the
+# self-test (every output check must catch an injected fault), then a
+# short checkpoint and insitu run, untraced and traced; each run's last
+# line must report "correct": true. Run length: ISOBAR_PERFBENCH_SECONDS
+# (default 2).
+perfbench() {
+  local name=perfbench
+  local seconds="${ISOBAR_PERFBENCH_SECONDS:-2}"
+  echo "=== [${name}] self-test ==="
+  python3 perfbench/selftest.py
+  local workload trace result
+  for workload in checkpoint insitu; do
+    for trace in 0 1; do
+      echo "=== [${name}] ${workload} trace=${trace} (${seconds}s) ==="
+      result="$(python3 perfbench/run.py --workload "${workload}" --seed 1 \
+        --seconds "${seconds}" --trace "${trace}" | tail -n 1)"
+      echo "${result}"
+      python3 -c 'import json, sys
+sys.exit(0 if json.loads(sys.argv[1]).get("correct") is True else 1)' \
+        "${result}"
+    done
+  done
+  echo "=== [${name}] OK ==="
+}
+
 for arg in "$@"; do
   case "${arg}" in
-    release|asan|tsan|scalar|lzans|notelemetry|ubsan|fuzz|bench|server) CONFIGS+=("${arg}") ;;
+    release|asan|tsan|scalar|lzans|notelemetry|ubsan|fuzz|bench|server|perfbench) CONFIGS+=("${arg}") ;;
     *) CTEST_ARGS+=("${arg}") ;;
   esac
 done

@@ -259,7 +259,6 @@ struct DecodePlan {
   PlanEntry stop;
   bool tail_lost = false;
   uint64_t walked_elements = 0;  ///< Elements the walked records cover.
-  size_t end_offset = container::kHeaderSize;  ///< Past the last record.
 };
 
 /// Resets the caller's salvage report, parses the file header, and
@@ -352,7 +351,6 @@ Status WalkRecords(const ReadSource& src, uint64_t stop_after_element,
     }
     element_offset += e.elements;
     plan->entries.push_back(std::move(e));
-    plan->end_offset = offset;
   }
   plan->walked_elements = element_offset;
   *parse_seconds += parse_timer.ElapsedSeconds();
@@ -361,12 +359,12 @@ Status WalkRecords(const ReadSource& src, uint64_t stop_after_element,
       stop_after_element != container::kUnknownCount) {
     return status;
   }
-  if (plan->end_offset != payload_end) {
+  if (offset != payload_end) {
     if (!src.salvage) {
       return Status::Corruption("container: trailing bytes after last chunk");
     }
-    if (src.report != nullptr && plan->end_offset < payload_end) {
-      src.report->trailing_bytes = payload_end - plan->end_offset;
+    if (src.report != nullptr && offset < payload_end) {
+      src.report->trailing_bytes = payload_end - offset;
     }
   }
   if (header.element_count != container::kUnknownCount && !damaged &&
@@ -442,8 +440,8 @@ Status ExecutePlan(const ReadSource& src, const DecodePlan& plan,
   const std::vector<PlanEntry>& entries = plan.entries;
   const size_t width = src.header.width;
   SalvageReport* report = src.report;
-  std::unique_ptr<ThreadPool> pool;
   std::vector<std::future<ChunkOutcome>> results;
+  std::unique_ptr<ThreadPool> pool;
   const size_t threads = ResolveNumThreads(src.options.num_threads);
   if (threads > 1 && entries.size() > 1) {
     pool = std::make_unique<ThreadPool>(threads);

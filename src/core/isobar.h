@@ -60,7 +60,7 @@ struct CompressionStats {
   /// summed over chunks; with num_threads > 1 chunks run concurrently, so
   /// the stage sum is aggregate worker time and may exceed total_seconds
   /// (wall clock) by up to the thread count.
-  double analysis_seconds = 0.0;   ///< ISOBAR-analyzer + EUPA sampling.
+  double analysis_seconds = 0.0;   ///< ISOBAR-analyzer + EUPA selection.
   double partition_seconds = 0.0;  ///< Gather/linearize.
   double codec_seconds = 0.0;      ///< Solver time.
   double total_seconds = 0.0;
@@ -77,7 +77,8 @@ struct CompressionStats {
                ? 0.0
                : static_cast<double>(input_bytes) / 1e6 / total_seconds;
   }
-  /// Throughput of the analysis stage alone (TP_A of Table V).
+  /// Throughput of the analysis stage (analyzer plus EUPA selection);
+  /// bench_table5 times the analyzer alone for the paper's TP_A.
   double analysis_mbps() const {
     return analysis_seconds <= 0.0
                ? 0.0
@@ -149,8 +150,11 @@ struct DecompressOptions {
   bool verify_checksums = true;
 
   /// Worker threads for chunk decode (same resolution rules as
-  /// CompressOptions::num_threads). Chunk records are parsed serially,
-  /// then decoded concurrently into disjoint regions of the output.
+  /// CompressOptions::num_threads), honoured by Decompress,
+  /// DecompressRange and DecompressColumns alike: the covering chunk
+  /// records are planned serially, then decoded concurrently into disjoint
+  /// regions of the output. A read covering a single record, or with one
+  /// thread, decodes on the calling thread without a pool.
   uint32_t num_threads = 0;
 
   /// Per-chunk error policy. Under kSkip/kZeroFill, Decompress returns OK

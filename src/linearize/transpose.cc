@@ -93,8 +93,14 @@ Status GatherColumns(ByteSpan data, size_t width, uint64_t column_mask,
   return Status::OK();
 }
 
-Status ScatterColumns(ByteSpan packed, size_t width, uint64_t column_mask,
-                      Linearization lin, MutableByteSpan dest) {
+// Aligned so the byte-strided loops below sit at one place relative to
+// 32-byte boundaries whatever code precedes them in the binary. Starting
+// at 16 mod 32 instead of 0, they ran a third slower on a 4-vCPU Xeon
+// (AVX-512) KVM host: removing 1.4 KiB of unrelated code earlier in the
+// binary moved the benchmark's scatter layer from 4.5 to 3.2 GB/s.
+__attribute__((aligned(64))) Status ScatterColumns(
+    ByteSpan packed, size_t width, uint64_t column_mask, Linearization lin,
+    MutableByteSpan dest) {
   std::array<uint8_t, 64> columns;
   size_t k = 0;
   ISOBAR_RETURN_NOT_OK(SelectedColumns(column_mask, width, &columns, &k));

@@ -9,6 +9,8 @@
 // the three separate read bodies that preceded the shared decode planner,
 // so any change in bytes, errors or salvage accounting shows here. On a
 // mismatch the test prints the whole recomputed table, ready to paste.
+// Record offsets enter the error messages, so the table assumes the
+// classic zlib deflate output (1.2.13 and 1.3.1 agree).
 #include <gtest/gtest.h>
 
 #include <cstdio>
