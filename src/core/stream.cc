@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <limits>
-#include <string>
 
 #include "compressors/registry.h"
 #include "core/chunk_codec.h"
-#include "core/eupa_selector.h"
 #include "telemetry/metrics.h"
 #include "telemetry/span.h"
 #include "telemetry/timeline.h"
