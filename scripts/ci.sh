@@ -329,19 +329,17 @@ fuzz() {
 # can break the benchmark while the test suite stays green. First the
 # self-test (every output check must catch an injected fault), then a
 # short checkpoint and insitu run, untraced and traced; each run's last
-# line must report "correct": true. Run length: ISOBAR_PERFBENCH_SECONDS
-# (default 2).
+# line must report "correct": true.
 perfbench() {
   local name=perfbench
-  local seconds="${ISOBAR_PERFBENCH_SECONDS:-2}"
   echo "=== [${name}] self-test ==="
   python3 perfbench/selftest.py
   local workload trace result
   for workload in checkpoint insitu; do
     for trace in 0 1; do
-      echo "=== [${name}] ${workload} trace=${trace} (${seconds}s) ==="
+      echo "=== [${name}] ${workload} trace=${trace} (2s) ==="
       result="$(python3 perfbench/run.py --workload "${workload}" --seed 1 \
-        --seconds "${seconds}" --trace "${trace}" | tail -n 1)"
+        --seconds 2 --trace "${trace}" | tail -n 1)"
       echo "${result}"
       python3 -c 'import json, sys
 sys.exit(0 if json.loads(sys.argv[1]).get("correct") is True else 1)' \

@@ -423,37 +423,6 @@ Status DecodeChunkPayload(const container::ChunkHeader& chunk_header,
   return Status::OK();
 }
 
-Status DecodeChunkWindow(const container::ChunkHeader& chunk_header,
-                         ByteSpan compressed_section, ByteSpan raw_section,
-                         const Codec& codec, Linearization linearization,
-                         size_t width, bool verify_checksums,
-                         uint64_t window_begin, MutableByteSpan dest,
-                         DecompressionStats* stats,
-                         ChunkFailureStage* failed_stage, ScratchArena* arena,
-                         uint64_t chunk_ordinal,
-                         Linearization raw_linearization) {
-  telemetry::ScopedSpan chunk_span("decompress.chunk", 0, chunk_ordinal + 1);
-  const size_t record_bytes =
-      static_cast<size_t>(chunk_header.element_count) * width;
-  const bool whole = window_begin == 0 && dest.size() == record_bytes;
-  Bytes& staging = arena->buffer(ScratchArena::kWindow);
-  if (!whole) staging.resize(record_bytes);
-  const Status status = DecodeChunkPayload(
-      chunk_header, compressed_section, raw_section, codec, linearization,
-      width, verify_checksums, whole ? dest : MutableByteSpan(staging), stats,
-      failed_stage, arena, chunk_ordinal, raw_linearization);
-  if (!status.ok()) {
-    // A failed decode may have partially scattered into the window.
-    std::fill(dest.begin(), dest.end(), uint8_t{0});
-    return status;
-  }
-  if (!whole) {
-    std::memcpy(dest.data(), staging.data() + window_begin * width,
-                dest.size());
-  }
-  return Status::OK();
-}
-
 Status ProjectChunkColumns(const container::ChunkHeader& chunk_header,
                            ByteSpan compressed_section, ByteSpan raw_section,
                            const Codec& codec, Linearization linearization,
@@ -500,9 +469,7 @@ Status ProjectChunkColumns(const container::ChunkHeader& chunk_header,
   // Solver-held planes need the packed section materialized once.
   const uint64_t solver_columns = column_mask & mask;
   if (solver_columns != 0) {
-    Bytes local_decoded;
-    Bytes& decoded = arena != nullptr ? arena->buffer(ScratchArena::kDecoded)
-                                      : local_decoded;
+    Bytes& decoded = arena->buffer(ScratchArena::kDecoded);
     ByteSpan packed;
     ISOBAR_RETURN_NOT_OK(UnpackSolverSection(
         chunk_header, compressed_section, codec,

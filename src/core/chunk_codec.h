@@ -162,21 +162,6 @@ Status DecodeChunkPayload(const container::ChunkHeader& chunk_header,
                           uint64_t chunk_ordinal = 0,
                           Linearization raw_linearization = Linearization::kRow);
 
-/// DecodeChunkPayload for part of a record: writes the record's elements
-/// [window_begin, window_begin + dest.size() / width) to `dest`. A window
-/// spanning the whole record decodes in place; any other decodes through
-/// the arena's kWindow slot and is copied out. On failure `dest` is left
-/// zeroed. `arena` must be non-null.
-Status DecodeChunkWindow(const container::ChunkHeader& chunk_header,
-                         ByteSpan compressed_section, ByteSpan raw_section,
-                         const Codec& codec, Linearization linearization,
-                         size_t width, bool verify_checksums,
-                         uint64_t window_begin, MutableByteSpan dest,
-                         DecompressionStats* stats,
-                         ChunkFailureStage* failed_stage, ScratchArena* arena,
-                         uint64_t chunk_ordinal,
-                         Linearization raw_linearization);
-
 /// The column-read counterpart of DecodeChunkPayload: materializes only
 /// the byte-columns in `column_mask` (bit j = column j) of one parsed
 /// record, without the full scatter. Column c's element_count bytes go to
@@ -185,7 +170,7 @@ Status DecodeChunkWindow(const container::ChunkHeader& chunk_header,
 /// raw section — one memcpy each when `raw_linearization` is kColumn (v2),
 /// a strided gather for the v1 row layout — and need no solver work;
 /// solver-held planes decode the packed section once (into the arena's
-/// kDecoded slot when `arena` is non-null) and are projected out of it.
+/// kDecoded slot; `arena` must be non-null) and are projected out of it.
 /// `*served_mask` receives the columns written, which on a failed solver
 /// decode are the raw ones: a partial failure still serves them. Every
 /// failure is a payload-stage failure. Per-chunk CRCs cover the whole
@@ -196,12 +181,9 @@ Status ProjectChunkColumns(const container::ChunkHeader& chunk_header,
                            const Codec& codec, Linearization linearization,
                            size_t width, uint64_t column_mask,
                            uint8_t* planes, size_t plane_stride,
-                           uint64_t* served_mask,
-                           DecompressionStats* stats = nullptr,
-                           ScratchArena* arena = nullptr,
-                           uint64_t chunk_ordinal = 0,
-                           Linearization raw_linearization =
-                               Linearization::kRow);
+                           uint64_t* served_mask, DecompressionStats* stats,
+                           ScratchArena* arena, uint64_t chunk_ordinal,
+                           Linearization raw_linearization);
 
 }  // namespace isobar
 

@@ -1,6 +1,7 @@
 #include "core/isobar.h"
 
 #include <algorithm>
+#include <cstring>
 #include <deque>
 #include <future>
 #include <limits>
@@ -503,24 +504,37 @@ Status ExecutePlan(const ReadSource& src, const DecodePlan& plan,
   return Status::OK();
 }
 
-/// Materialize step of full and range reads.
+/// Materialize step of full and range reads: decodes the record's window
+/// to its destination, in place when the window is the whole record and
+/// through the arena's kWindow slot otherwise. Failure leaves it zeroed.
 ChunkOutcome DecodeWindow(const ReadSource& src, const PlanEntry& e,
                           Bytes* out) {
+  const size_t width = src.header.width;
   const MutableByteSpan dest(
       out->data() + e.dest_offset,
-      static_cast<size_t>(e.window_end - e.window_begin) * src.header.width);
+      static_cast<size_t>(e.window_end - e.window_begin) * width);
   ChunkOutcome outcome;
   outcome.status = e.error;
   if (e.error.ok()) {
-    outcome.status = AnnotateChunkError(
-        DecodeChunkWindow(e.header, e.compressed, e.raw, *src.codec,
-                          src.header.linearization, src.header.width,
-                          src.options.verify_checksums, e.window_begin, dest,
-                          &outcome.stats, &outcome.stage,
-                          &ScratchArena::ThreadLocal(), e.index,
-                          container::RawSectionLinearization(
-                              src.header.version)),
-        e.index, e.byte_offset);
+    telemetry::ScopedSpan chunk_span("decompress.chunk", 0, e.index + 1);
+    ScratchArena& arena = ScratchArena::ThreadLocal();
+    const bool whole =
+        e.window_begin == 0 && dest.size() == e.header.element_count * width;
+    Bytes& staging = arena.buffer(ScratchArena::kWindow);
+    if (!whole) staging.resize(e.header.element_count * width);
+    outcome.status = DecodeChunkPayload(
+        e.header, e.compressed, e.raw, *src.codec, src.header.linearization,
+        width, src.options.verify_checksums,
+        whole ? dest : MutableByteSpan(staging), &outcome.stats,
+        &outcome.stage, &arena, e.index,
+        container::RawSectionLinearization(src.header.version));
+    if (!outcome.status.ok()) {
+      std::fill(dest.begin(), dest.end(), uint8_t{0});
+    } else if (!whole) {
+      std::memcpy(dest.data(), staging.data() + e.window_begin * width,
+                  dest.size());
+    }
+    outcome.status = AnnotateChunkError(outcome.status, e.index, e.byte_offset);
   }
   (outcome.status.ok() ? outcome.recovered_bytes : outcome.lost_bytes) =
       dest.size();
